@@ -2,7 +2,6 @@
 
 from .fields import (
     FourierCoefficients,
-    DftMatrix,
     build_dft_matrix,
     coeffs_from_samples,
     eval_derivative,
@@ -23,15 +22,7 @@ from .sampling import (
     save_samples,
     sorted_locations,
 )
-from .estimator import (
-    CoefficientEstimate,
-    distortion,
-    distortion_bound,
-    estimate_coeffs,
-    load_estimate,
-    reconstruct,
-    save_estimate,
-)
+from .estimator import distortion, distortion_bound, estimate_coeffs
 from .asymptotics import (
     CltReport,
     CovarianceBundle,

@@ -53,8 +53,6 @@ def empirical_value_cdf(values: np.ndarray, grid: np.ndarray) -> ValueCdf:
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("grid must be a non-empty one-dimensional array")
-    if g.size >= 2 and np.any(np.diff(g) <= 0):
-        raise ValueError("grid must be strictly ascending")
     v = np.sort(_real_values(values, "field values"))
     if v.size == 0:
         raise ValueError("need at least one value")

@@ -13,12 +13,13 @@ compare empirical second moments against the formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import estimate_coeffs, reconstruct
+from .estimator import estimate_coeffs
 from .fields import FourierCoefficients, build_dft_matrix, eval_derivative, eval_field, _freeze
+from .io import matrix_to_json, pair
 from .parallel import trial_map
 from .sampling import SampleSet, deploy, quantile_indices, sorted_locations
 
@@ -72,7 +73,7 @@ def coeff_covariance(k_samples: np.ndarray, b: int) -> tuple[np.ndarray, np.ndar
     k = np.asarray(k_samples, dtype=np.float64)
     if k.shape != (m, m):
         raise ValueError(f"expected covariance of shape {(m, m)}, got {k.shape}")
-    phi = build_dft_matrix(b).entries
+    phi = build_dft_matrix(b)
     scale = float(m) ** 2
     herm = phi.conj().T @ k @ phi / scale
     pseudo = phi.conj().T @ k @ phi.conj() / scale
@@ -214,37 +215,14 @@ class CltReport:
             "pointwise_checks": [
                 {
                     "t": float(p.t),
-                    "analytic_second_moment": [
-                        p.analytic_second_moment.real,
-                        p.analytic_second_moment.imag,
-                    ],
+                    "analytic_second_moment": pair(p.analytic_second_moment),
                     "analytic_abs_second_moment": float(p.analytic_abs_second_moment),
-                    "empirical_second_moment": [
-                        p.empirical_second_moment.real,
-                        p.empirical_second_moment.imag,
-                    ],
+                    "empirical_second_moment": pair(p.empirical_second_moment),
                     "empirical_abs_second_moment": float(p.empirical_abs_second_moment),
                 }
                 for p in self.pointwise_checks
             ],
         }
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    """Encode a real or complex matrix as row-major [re, im] pairs."""
-    a = np.asarray(m, dtype=np.complex128)
-    return {
-        "shape": [int(a.shape[0]), int(a.shape[1])],
-        "data": [[float(z.real), float(z.imag)] for z in a.ravel(order="C")],
-    }
-
-
-def matrix_from_json(doc: dict) -> np.ndarray:
-    rows, cols = (int(x) for x in doc["shape"])
-    flat = np.array([complex(re, im) for re, im in doc["data"]], dtype=np.complex128)
-    if flat.size != rows * cols:
-        raise ValueError(f"matrix data length {flat.size} does not match shape {(rows, cols)}")
-    return flat.reshape(rows, cols)
 
 
 def clt_empirical_check(
@@ -288,7 +266,7 @@ def clt_empirical_check(
         quant = locs[ranks - 1]
         quant_err = sqrt_n * (quant - levels)
         point_err = (
-            sqrt_n * (reconstruct(est, points) - truth_at_points) if points is not None else None
+            sqrt_n * (eval_field(est, points) - truth_at_points) if points is not None else None
         )
         return coeff_err, quant_err, quant, point_err
 

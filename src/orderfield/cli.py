@@ -10,21 +10,16 @@ identical output bytes.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from .estimator import estimate_coeffs, save_estimate
+from .estimator import estimate_coeffs
 from .fields import load_field, random_field, save_field
-from .harness import (
-    load_config,
-    run_ambiguity_demo,
-    run_clt_check,
-    run_mse_sweep,
-    with_overrides,
-)
+from .harness import load_config, run_ambiguity_demo, run_clt_check, run_mse_sweep
+from .io import dumps_json
 from .sampling import deploy, observe, save_samples
 
 DEFAULT_SEED = 12345
@@ -38,32 +33,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def _make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _cmd_gen_field(args) -> int:
-    rng = _make_rng(args.seed)
-    field = random_field(args.b, rng)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "field.json")
-        save_field(field, path)
+def _save_or_print(c, out: str, name: str) -> None:
+    """Write coefficients to ``out/name``, or print them when ``out`` is empty."""
+    if out:
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, name)
+        save_field(c, path)
         print(f"wrote {path}")
     else:
-        print(_dump_json(field.to_json_dict()))
+        print(dumps_json(c.to_json_dict()))
+
+
+def _sample_field(args):
+    """The field from --field and its ordered samples at --n seeded locations."""
+    field = load_field(args.field)
+    draw = deploy(args.n, _make_rng(args.seed), seed_label=str(args.seed))
+    return field, observe(field, draw)
+
+
+def _cmd_gen_field(args) -> int:
+    _save_or_print(random_field(args.b, _make_rng(args.seed)), args.out, "field.json")
     return 0
 
 
 def _cmd_sample(args) -> int:
-    field = load_field(args.field)
-    rng = _make_rng(args.seed)
-    draw = deploy(args.n, rng, seed_label=str(args.seed))
-    samples = observe(field, draw)
+    _, samples = _sample_field(args)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "samples.csv")
     sidecar = os.path.join(args.out, "samples.json")
@@ -73,25 +71,17 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    field = load_field(args.field)
+    field, samples = _sample_field(args)
     b = field.b if args.b is None else args.b
-    rng = _make_rng(args.seed)
-    draw = deploy(args.n, rng, seed_label=str(args.seed))
-    samples = observe(field, draw)
-    est = estimate_coeffs(samples, b)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "estimate.json")
-        save_estimate(est, path)
-        print(f"wrote {path}")
-    else:
-        print(_dump_json(est.to_json_dict()))
+    _save_or_print(estimate_coeffs(samples, b), args.out, "estimate.json")
     return 0
 
 
 def _load_sweep_config(args):
-    cfg = load_config(args.config)
-    cfg = with_overrides(cfg, trials=args.trials, output_dir=args.out)
+    overrides = {"trials": args.trials, "output_dir": args.out}
+    cfg = dataclasses.replace(
+        load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
+    )
     if not cfg.output_dir:
         raise ValueError("no output directory: set output_dir in the config or pass --out")
     return cfg
@@ -119,20 +109,18 @@ def _cmd_clt_check(args) -> int:
     return 0
 
 
-def _cmd_ambiguity_demo(args, parser) -> int:
+def _cmd_ambiguity_demo(args) -> int:
     if args.field:
         field = load_field(args.field)
-    elif args.b is not None:
-        field = random_field(args.b, _make_rng(args.seed))
     else:
-        parser.error("one of --field or --b is required")
+        field = random_field(args.b, _make_rng(args.seed))
     report = run_ambiguity_demo(
         field, args.theta, args.n, args.grid, args.seed, output_dir=args.out
     )
     if args.out:
         print(f"wrote ambiguity.json and curve CSVs under {args.out}")
     else:
-        print(_dump_json(report.to_json_dict()))
+        print(dumps_json(report.to_json_dict()))
     return 0
 
 
@@ -184,7 +172,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=int, default=8192, help="level-measure grid size")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="", help="output directory (default: print JSON)")
-    p.set_defaults(func=_cmd_ambiguity_demo, needs_parser=True)
+    p.set_defaults(func=_cmd_ambiguity_demo)
 
     return parser
 
@@ -192,11 +180,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "ambiguity-demo" and not args.field and args.b is None:
+        parser.error("one of --field or --b is required")
     try:
-        if getattr(args, "needs_parser", False):
-            return args.func(args, parser)
         return args.func(args)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
         print(f"orderfield: error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,89 +2,42 @@
 
 The ordered sample at rank ``floor(n*l/(2b+1)) + 1`` converges to the field
 value at grid point ``l/(2b+1)``, so plugging those ranked values into the
-inverse grid transform estimates the coefficients.  Reconstruction and the
-exact coefficient-space distortion follow.
+inverse grid transform estimates the coefficients.  The estimate is a
+`FourierCoefficients` carrying the sample count ``n``, so `eval_field`
+reconstructs it; the exact coefficient-space distortion follows.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fields import FourierCoefficients, build_dft_matrix, _freeze, _horner_eval
+from .fields import (
+    CONJ_SYMMETRY_TOL,
+    FourierCoefficients,
+    build_dft_matrix,
+    _conj_asymmetry,
+    _grid_to_coeffs,
+)
 from .sampling import SampleSet, extract_quantile_samples, quantile_indices
 
-REAL_SAMPLE_TOL = 1e-9
 
-
-@dataclass(frozen=True, eq=False)
-class CoefficientEstimate:
-    """Estimated coefficients plus the sample count that produced them.
-
-    For a bounded source field every entry has magnitude at most one, and the
-    reconstructed field magnitude never exceeds 2b+1; both follow from the
-    unit-modulus transform entries by the triangle inequality.
-    """
-
-    b: int
-    coeffs: np.ndarray
-    n: int
-    real_valued: bool = False
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128).copy()
-        if c.ndim != 1 or c.size != 2 * self.b + 1:
-            raise ValueError(
-                f"expected {2 * self.b + 1} coefficients for b={self.b}, got shape {c.shape}"
-            )
-        if self.n < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n}")
-        object.__setattr__(self, "coeffs", _freeze(c))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "b": int(self.b),
-            "real_valued": bool(self.real_valued),
-            "coeffs": [[float(z.real), float(z.imag)] for z in self.coeffs],
-            "n": int(self.n),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CoefficientEstimate":
-        try:
-            b = int(doc["b"])
-            n = int(doc["n"])
-            real_valued = bool(doc["real_valued"])
-            c = np.array(
-                [complex(re, im) for re, im in doc["coeffs"]], dtype=np.complex128
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed estimate document: {exc}") from exc
-        return cls(b=b, coeffs=c, n=n, real_valued=real_valued)
-
-
-def estimate_coeffs(s: SampleSet, b: int) -> CoefficientEstimate:
+def estimate_coeffs(s: SampleSet, b: int) -> FourierCoefficients:
     """Estimate the 2b+1 coefficients from an ordered sample set.
 
-    Applies the scaled conjugate-transpose grid transform to the values at
-    the quantile ranks.  Refuses ``n < 2b+1`` since fewer samples cannot
-    supply distinct ranks.
+    Applies the inverse grid transform to the values at the quantile ranks
+    and marks the estimate real-valued when its coefficients are conjugate
+    symmetric within `CONJ_SYMMETRY_TOL`.  Refuses ``n < 2b+1`` since fewer
+    samples cannot supply distinct ranks.  For a bounded source field every
+    coefficient has magnitude at most one, by the triangle inequality.
     """
     ranks = quantile_indices(s.n, b)
     g = extract_quantile_samples(s, ranks)
-    coeffs = build_dft_matrix(b).conj_t @ g / (2 * b + 1)
-    real = bool(np.max(np.abs(g.imag)) <= REAL_SAMPLE_TOL) if g.size else True
-    return CoefficientEstimate(b=b, coeffs=coeffs, n=s.n, real_valued=real)
+    coeffs = _grid_to_coeffs(build_dft_matrix(b), g)
+    real = _conj_asymmetry(coeffs) <= CONJ_SYMMETRY_TOL
+    return FourierCoefficients(b=b, coeffs=coeffs, real_valued=real, n=s.n)
 
 
-def reconstruct(e: CoefficientEstimate, t):
-    """Reconstructed field value at ``t`` (scalar or array)."""
-    return _horner_eval(e.coeffs, e.b, t)
-
-
-def distortion(e: CoefficientEstimate, truth: FourierCoefficients) -> float:
+def distortion(e: FourierCoefficients, truth: FourierCoefficients) -> float:
     """Squared L2 distance between reconstruction and truth.
 
     Computed exactly in coefficient space as the sum of squared coefficient
@@ -101,14 +54,3 @@ def distortion_bound(b: int) -> float:
     if b < 0:
         raise ValueError(f"bandwidth index must be >= 0, got {b}")
     return np.pi**2 * b**2 * (2 * b + 1)
-
-
-def save_estimate(e: CoefficientEstimate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(e.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_estimate(path) -> CoefficientEstimate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CoefficientEstimate.from_json_dict(json.load(fh))

@@ -8,10 +8,12 @@ coefficient/sample transforms are exact linear algebra on that vector.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
+
+from .io import pairs_from_json, pairs_to_json, read_json, write_json
 
 CONJ_SYMMETRY_TOL = 1e-12
 BOUNDED_SUM_TOL = 1e-12
@@ -31,13 +33,15 @@ class FourierCoefficients:
     (``coeffs[b+k] == conj(coeffs[b-k])``) and ``bounded`` declares that the
     coefficient magnitudes sum to at most one, which forces the field
     amplitude to stay within [-1, 1].  Both declarations are verified at
-    construction time.
+    construction time.  An estimate also records the sample count ``n`` it
+    was computed from; a field that was not estimated has ``n = None``.
     """
 
     b: int
     coeffs: np.ndarray
     real_valued: bool = False
     bounded: bool = False
+    n: int | None = None
 
     def __post_init__(self):
         if self.b < 0:
@@ -49,8 +53,10 @@ class FourierCoefficients:
             )
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
+        if self.n is not None and self.n < 1:
+            raise ValueError(f"sample count must be >= 1, got {self.n}")
         if self.real_valued:
-            asym = np.max(np.abs(c - np.conj(c[::-1])))
+            asym = _conj_asymmetry(c)
             if asym > CONJ_SYMMETRY_TOL:
                 raise ValueError(
                     f"real_valued flag requires conjugate symmetry; residual {asym:.3e}"
@@ -69,60 +75,57 @@ class FourierCoefficients:
         return np.arange(-self.b, self.b + 1)
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "b": int(self.b),
             "real_valued": bool(self.real_valued),
-            "coeffs": [[float(z.real), float(z.imag)] for z in self.coeffs],
+            "coeffs": pairs_to_json(self.coeffs),
         }
+        if self.n is not None:
+            doc["n"] = int(self.n)
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FourierCoefficients":
         try:
             b = int(doc["b"])
             real_valued = bool(doc["real_valued"])
-            c = np.array(
-                [complex(re, im) for re, im in doc["coeffs"]], dtype=np.complex128
-            )
+            c = pairs_from_json(doc["coeffs"])
+            n = None if doc.get("n") is None else int(doc["n"])
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed field document: {exc}") from exc
+            raise ValueError(f"malformed coefficient document: {exc}") from exc
         bounded = bool(np.sum(np.abs(c)) <= 1.0 + BOUNDED_SUM_TOL)
-        return cls(b=b, coeffs=c, real_valued=real_valued, bounded=bounded)
+        return cls(b=b, coeffs=c, real_valued=real_valued, bounded=bounded, n=n)
 
 
-@dataclass(frozen=True, eq=False)
-class DftMatrix:
-    """Square matrix mapping coefficients to field samples on the uniform grid.
-
-    Row ``l``, column ``k`` (k counted from -b) holds ``exp(2j*pi*k*l*s)``
-    with grid spacing ``s = 1/(2b+1)``.  Columns are orthogonal with squared
-    norm 2b+1, so the inverse is the scaled conjugate transpose.
-    """
-
-    b: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = 2 * self.b + 1
-        e = np.asarray(self.entries, dtype=np.complex128).copy()
-        if e.shape != (m, m):
-            raise ValueError(f"expected shape {(m, m)}, got {e.shape}")
-        object.__setattr__(self, "entries", _freeze(e))
-
-    @property
-    def conj_t(self) -> np.ndarray:
-        """Conjugate transpose of the entries."""
-        return self.entries.conj().T
+def _conj_asymmetry(c: np.ndarray) -> float:
+    """Largest deviation of ``c`` from conjugate symmetry ``c[b+k] == conj(c[b-k])``."""
+    return float(np.max(np.abs(c - np.conj(c[::-1]))))
 
 
-def build_dft_matrix(b: int) -> DftMatrix:
-    """Construct the coefficient-to-sample matrix for bandwidth index ``b``."""
-    if b < 0:
-        raise ValueError(f"bandwidth index must be >= 0, got {b}")
+@functools.lru_cache(maxsize=16)
+def _dft_matrix(b: int) -> np.ndarray:
     spacing = 1.0 / (2 * b + 1)
     l = np.arange(2 * b + 1)
     k = np.arange(-b, b + 1)
-    entries = np.exp(2j * np.pi * spacing * np.outer(l, k))
-    return DftMatrix(b=b, entries=entries)
+    return _freeze(np.exp(2j * np.pi * spacing * np.outer(l, k)))
+
+
+def build_dft_matrix(b: int) -> np.ndarray:
+    """Read-only square matrix mapping coefficients to the uniform grid samples.
+
+    Row ``l``, column ``k`` (k counted from -b) holds ``exp(2j*pi*k*l*s)``
+    with grid spacing ``s = 1/(2b+1)``.  Columns are orthogonal with squared
+    norm 2b+1, so the inverse is the scaled conjugate transpose
+    (`_grid_to_coeffs`).  Matrices are cached per ``b`` and shared.
+    """
+    if b < 0:
+        raise ValueError(f"bandwidth index must be >= 0, got {b}")
+    return _dft_matrix(b)
+
+
+def _grid_to_coeffs(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Inverse of ``matrix = build_dft_matrix(b)`` applied to the grid samples ``g``."""
+    return matrix.conj().T @ g / matrix.shape[0]
 
 
 def _horner_eval(coeffs: np.ndarray, b: int, t):
@@ -160,7 +163,7 @@ def eval_derivative(c: FourierCoefficients, t):
 
 def samples_from_coeffs(c: FourierCoefficients) -> np.ndarray:
     """Field values on the uniform grid ``t = l/(2b+1)``, ``l = 0..2b``."""
-    return build_dft_matrix(c.b).entries @ c.coeffs
+    return build_dft_matrix(c.b) @ c.coeffs
 
 
 def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
@@ -174,9 +177,7 @@ def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
     if g.ndim != 1 or g.size % 2 != 1:
         raise ValueError(f"expected an odd-length sample vector, got shape {g.shape}")
     b = (g.size - 1) // 2
-    phi = build_dft_matrix(b)
-    coeffs = phi.conj_t @ g / (2 * b + 1)
-    return FourierCoefficients(b=b, coeffs=coeffs)
+    return FourierCoefficients(b=b, coeffs=_grid_to_coeffs(build_dft_matrix(b), g))
 
 
 def random_field(b: int, rng: np.random.Generator, real_valued: bool = True) -> FourierCoefficients:
@@ -213,11 +214,9 @@ def random_field(b: int, rng: np.random.Generator, real_valued: bool = True) -> 
 
 
 def save_field(c: FourierCoefficients, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(c.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a field or an estimate; ``n`` is written only when set."""
+    write_json(path, c.to_json_dict())
 
 
 def load_field(path) -> FourierCoefficients:
-    with open(path, "r", encoding="utf-8") as fh:
-        return FourierCoefficients.from_json_dict(json.load(fh))
+    return FourierCoefficients.from_json_dict(read_json(path))

@@ -8,10 +8,9 @@ merged in trial order before any reduction.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .ambiguity import AmbiguityReport, ambiguity_demo
 from .asymptotics import CltReport, clt_empirical_check
 from .estimator import distortion, distortion_bound, estimate_coeffs
 from .fields import FourierCoefficients, load_field, random_field
+from .io import read_json, write_csv_lines, write_json
 from .parallel import trial_map
 from .sampling import deploy, observe
 
@@ -30,13 +30,10 @@ _CONFIG_OPTIONAL = ("field_source", "output_dir")
 SWEEP_CSV_HEADER = "b,n,trials,mean_distortion,stderr,n_times_mse,bound"
 
 
-def _int_list(values, name):
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{name} entries must be integers, got {v!r}")
-        out.append(int(v))
-    return tuple(out)
+def _as_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,8 @@ class ExperimentConfig:
     output_dir: str = ""
 
     def __post_init__(self):
-        b_list = _int_list(self.b_list, "b_list")
-        n_list = _int_list(self.n_list, "n_list")
+        b_list = tuple(_as_int(v, "b_list entry") for v in self.b_list)
+        n_list = tuple(_as_int(v, "n_list entry") for v in self.n_list)
         if not b_list:
             raise ValueError("b_list must be non-empty")
         if not n_list:
@@ -73,22 +70,20 @@ class ExperimentConfig:
             raise ValueError(
                 f"every n must be >= {needed} (= 2*max(b)+1), got n={min(n_list)}"
             )
-        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)):
-            raise ValueError(f"trials must be an integer, got {self.trials!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, (int, np.integer)):
-            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
-        if not 0 <= self.base_seed < MAX_SEED:
-            raise ValueError(f"base_seed must lie in [0, 2^64), got {self.base_seed}")
+        trials = _as_int(self.trials, "trials")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        base_seed = _as_int(self.base_seed, "base_seed")
+        if not 0 <= base_seed < MAX_SEED:
+            raise ValueError(f"base_seed must lie in [0, 2^64), got {base_seed}")
         if not isinstance(self.field_source, str) or not self.field_source:
             raise ValueError("field_source must be 'random' or a coefficient file path")
         if not isinstance(self.output_dir, str):
             raise ValueError("output_dir must be a string path")
         object.__setattr__(self, "b_list", b_list)
         object.__setattr__(self, "n_list", n_list)
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "base_seed", base_seed)
 
     def to_json_dict(self):
         return {
@@ -115,8 +110,7 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_json_dict(json.load(fh))
+    return ExperimentConfig.from_json_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -231,24 +225,16 @@ def run_mse_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
         write_sweep_csv(report, os.path.join(cfg.output_dir, "sweep.csv"))
-        _write_json(os.path.join(cfg.output_dir, "sweep.json"), report.to_json_dict())
+        write_json(os.path.join(cfg.output_dir, "sweep.json"), report.to_json_dict())
     return report
 
 
 def write_sweep_csv(report: ExperimentReport, path):
-    lines = [SWEEP_CSV_HEADER]
-    for r in report.rows:
-        lines.append(
-            f"{r.b},{r.n},{r.trials},{r.mean_distortion:.17g},"
-            f"{r.stderr_distortion:.17g},{r.n_times_mse:.17g},{r.bound:.17g}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_csv_lines(path, SWEEP_CSV_HEADER, (
+        f"{r.b},{r.n},{r.trials},{r.mean_distortion:.17g},"
+        f"{r.stderr_distortion:.17g},{r.n_times_mse:.17g},{r.bound:.17g}"
+        for r in report.rows
+    ))
 
 
 def run_clt_check(cfg: ExperimentConfig, eval_points=None):
@@ -275,16 +261,8 @@ def run_clt_check(cfg: ExperimentConfig, eval_points=None):
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
         payload = {"checks": [r.to_json_dict() for r in reports]}
-        _write_json(os.path.join(cfg.output_dir, "clt.json"), payload)
+        write_json(os.path.join(cfg.output_dir, "clt.json"), payload)
     return reports
-
-
-def _write_curve_csv(path, xs, ys):
-    lines = ["x,cdf"]
-    for x, y in zip(xs, ys):
-        lines.append(f"{x:.17g},{y:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def run_ambiguity_demo(
@@ -301,40 +279,23 @@ def run_ambiguity_demo(
     two-column (x, cdf) curves — the sublevel-measure curves of the field
     and its shift, and the empirical value distributions of each.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < MAX_SEED:
+    seed = _as_int(seed, "seed")
+    if not 0 <= seed < MAX_SEED:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     report = ambiguity_demo(field, theta, n, grid_points, rng)
     if output_dir:
         os.makedirs(output_dir, exist_ok=True)
-        _write_json(os.path.join(output_dir, "ambiguity.json"), report.to_json_dict())
-        xs = report.thresholds
-        _write_curve_csv(
-            os.path.join(output_dir, "ambiguity_level_original.csv"),
-            xs, report.level_curve_original,
-        )
-        _write_curve_csv(
-            os.path.join(output_dir, "ambiguity_level_shifted.csv"),
-            xs, report.level_curve_shifted,
-        )
-        _write_curve_csv(
-            os.path.join(output_dir, "ambiguity_empirical_original.csv"),
-            xs, report.empirical_cdf_original,
-        )
-        _write_curve_csv(
-            os.path.join(output_dir, "ambiguity_empirical_shifted.csv"),
-            xs, report.empirical_cdf_shifted,
-        )
+        write_json(os.path.join(output_dir, "ambiguity.json"), report.to_json_dict())
+        for name, ys in (
+            ("level_original", report.level_curve_original),
+            ("level_shifted", report.level_curve_shifted),
+            ("empirical_original", report.empirical_cdf_original),
+            ("empirical_shifted", report.empirical_cdf_shifted),
+        ):
+            write_csv_lines(
+                os.path.join(output_dir, f"ambiguity_{name}.csv"), "x,cdf",
+                (f"{x:.17g},{y:.17g}" for x, y in zip(report.thresholds, ys)),
+            )
     return report
 
-
-def with_overrides(cfg: ExperimentConfig, trials=None, output_dir=None) -> ExperimentConfig:
-    """Copy of the config with command-line overrides applied."""
-    out = cfg
-    if trials is not None:
-        out = replace(out, trials=trials)
-    if output_dir is not None:
-        out = replace(out, output_dir=output_dir)
-    return out

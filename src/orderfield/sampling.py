@@ -11,12 +11,12 @@ order-statistic diagnostics) reads them from the `DeploymentDraw` via
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FourierCoefficients, eval_field, _freeze
+from .io import read_json, write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +53,8 @@ class SampleSet:
         v = np.asarray(self.values, dtype=np.complex128).copy()
         if v.ndim != 1 or v.size != self.n:
             raise ValueError(f"expected {self.n} values, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("sample values must be finite")
         object.__setattr__(self, "values", _freeze(v))
 
 
@@ -108,19 +110,11 @@ def save_samples(s: SampleSet, csv_path, sidecar_path) -> None:
         writer.writerow(["value_re", "value_im"])
         for z in s.values:
             writer.writerow([f"{z.real:.17g}", f"{z.imag:.17g}"])
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"n": int(s.n), "b_source": int(s.b_source), "seed": s.seed},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(sidecar_path, {"n": int(s.n), "b_source": int(s.b_source), "seed": s.seed})
 
 
 def load_samples(csv_path, sidecar_path) -> SampleSet:
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json(sidecar_path)
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

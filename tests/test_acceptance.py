@@ -219,7 +219,7 @@ def test_08_exact_linear_algebra(capsys):
         m = 2 * b + 1
         phi = build_dft_matrix(b)
         worst_gram = max(
-            worst_gram, float(np.max(np.abs(phi.conj_t @ phi.entries - m * np.eye(m))))
+            worst_gram, float(np.max(np.abs(phi.conj().T @ phi - m * np.eye(m))))
         )
         field = random_field(b, rng)
         back = coeffs_from_samples(samples_from_coeffs(field))

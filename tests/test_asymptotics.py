@@ -13,7 +13,8 @@ from orderfield import (
     quantile_covariance,
     random_field,
 )
-from orderfield.asymptotics import CovarianceBundle, matrix_from_json, matrix_to_json
+from orderfield.asymptotics import CovarianceBundle
+from orderfield.io import matrix_from_json, matrix_to_json
 
 
 def test_quantile_covariance_hand_values():

@@ -1,22 +1,23 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from orderfield import (
-    CoefficientEstimate,
+    FourierCoefficients,
     SampleSet,
     deploy,
     distortion,
     distortion_bound,
     estimate_coeffs,
-    load_estimate,
+    eval_field,
+    load_field,
     observe,
     random_field,
-    reconstruct,
     samples_from_coeffs,
-    save_estimate,
+    save_field,
 )
-from orderfield.fields import eval_field
 
 
 def test_estimator_is_exact_on_grid_values(cosine_field):
@@ -26,6 +27,13 @@ def test_estimator_is_exact_on_grid_values(cosine_field):
     est = estimate_coeffs(s, 1)
     npt.assert_allclose(est.coeffs, cosine_field.coeffs, atol=1e-12)
     assert distortion(est, cosine_field) < 1e-24
+    assert est.real_valued and est.n == 3
+    # imaginary noise above the conjugate-symmetry tolerance clears the real
+    # flag rather than failing the estimate's own symmetry check
+    noisy = SampleSet(n=3, values=samples_from_coeffs(cosine_field) + 1e-10j)
+    est = estimate_coeffs(noisy, 1)
+    assert not est.real_valued
+    npt.assert_allclose(est.coeffs, cosine_field.coeffs, atol=1e-9)
 
 
 def test_estimator_is_exact_for_constant_fields(rng):
@@ -57,11 +65,11 @@ def test_reconstruct_matches_coefficient_sum(rng):
     t = rng.random(20)
     ks = np.arange(-2, 3)
     expected = (est.coeffs[None, :] * np.exp(2j * np.pi * np.outer(t, ks))).sum(axis=1)
-    npt.assert_allclose(reconstruct(est, t), expected, atol=1e-12)
+    npt.assert_allclose(eval_field(est, t), expected, atol=1e-12)
 
 
 def test_distortion_is_squared_coefficient_distance(cosine_field):
-    est = CoefficientEstimate(b=1, coeffs=cosine_field.coeffs + np.array([0.1, 0, -0.2j]), n=10)
+    est = FourierCoefficients(b=1, coeffs=cosine_field.coeffs + np.array([0.1, 0, -0.2j]), n=10)
     npt.assert_allclose(distortion(est, cosine_field), 0.1**2 + 0.2**2, atol=1e-15)
 
 
@@ -72,13 +80,13 @@ def test_distortion_equals_field_space_error(rng):
     s = observe(truth, deploy(500, rng))
     est = estimate_coeffs(s, 2)
     t = np.linspace(0.0, 1.0, 4097)
-    diff = np.abs(reconstruct(est, t) - eval_field(truth, t)) ** 2
+    diff = np.abs(eval_field(est, t) - eval_field(truth, t)) ** 2
     integral = np.trapezoid(diff, t)
     npt.assert_allclose(distortion(est, truth), integral, rtol=1e-6)
 
 
 def test_distortion_rejects_bandwidth_mismatch(cosine_field):
-    est = CoefficientEstimate(b=2, coeffs=np.zeros(5, dtype=complex), n=10)
+    est = FourierCoefficients(b=2, coeffs=np.zeros(5, dtype=complex), n=10)
     with pytest.raises(ValueError):
         distortion(est, cosine_field)
 
@@ -97,9 +105,9 @@ def test_distortion_bound_formula():
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        CoefficientEstimate(b=1, coeffs=np.zeros(2, dtype=complex), n=10)
+        FourierCoefficients(b=1, coeffs=np.zeros(2, dtype=complex), n=10)
     with pytest.raises(ValueError):
-        CoefficientEstimate(b=1, coeffs=np.zeros(3, dtype=complex), n=0)
+        FourierCoefficients(b=1, coeffs=np.zeros(3, dtype=complex), n=0)
 
 
 def test_estimate_file_roundtrip(tmp_path, rng):
@@ -107,12 +115,22 @@ def test_estimate_file_roundtrip(tmp_path, rng):
     s = observe(field, deploy(50, rng))
     est = estimate_coeffs(s, 1)
     path = tmp_path / "estimate.json"
-    save_estimate(est, path)
-    back = load_estimate(path)
+    save_field(est, path)
+    back = load_field(path)
     assert back.b == est.b and back.n == est.n and back.real_valued == est.real_valued
     npt.assert_array_equal(back.coeffs, est.coeffs)
+    # the estimate.json schema: the field keys plus the sample count
+    assert set(json.loads(path.read_text())) == {"b", "coeffs", "n", "real_valued"}
 
 
 def test_estimate_from_json_rejects_malformed():
     with pytest.raises(ValueError):
-        CoefficientEstimate.from_json_dict({"b": 1, "n": 5})
+        FourierCoefficients.from_json_dict({"b": 1, "n": 5})
+    with pytest.raises(ValueError):
+        FourierCoefficients.from_json_dict(
+            {"b": 0, "real_valued": False, "coeffs": [[float("nan"), 0.0]], "n": 5}
+        )
+    with pytest.raises(ValueError):
+        FourierCoefficients.from_json_dict(
+            {"b": 0, "real_valued": False, "coeffs": [[0.5, 0.0]], "n": 0}
+        )

@@ -103,7 +103,8 @@ def test_derivative_bound_for_bounded_fields(rng):
 def test_dft_matrix_entries_by_direct_formula():
     b = 2
     m = 2 * b + 1
-    phi = build_dft_matrix(b).entries
+    phi = build_dft_matrix(b)
+    assert not phi.flags.writeable
     for l in range(m):
         for i, k in enumerate(range(-b, b + 1)):
             npt.assert_allclose(phi[l, i], np.exp(2j * np.pi * k * l / m), atol=1e-14)
@@ -113,7 +114,7 @@ def test_dft_matrix_columns_are_orthogonal():
     for b in range(9):
         phi = build_dft_matrix(b)
         m = 2 * b + 1
-        gram = phi.conj_t @ phi.entries
+        gram = phi.conj().T @ phi
         npt.assert_allclose(gram, m * np.eye(m), atol=1e-10)
 
 

@@ -18,7 +18,7 @@ from orderfield import (
     save_field,
 )
 from orderfield.fields import FourierCoefficients
-from orderfield.harness import SWEEP_CSV_HEADER, with_overrides
+from orderfield.harness import SWEEP_CSV_HEADER
 
 
 def small_config(**overrides):
@@ -81,13 +81,6 @@ def test_load_config_from_file(tmp_path):
     path.write_text(json.dumps(dict(b_list=[2], n_list=[50], trials=3, base_seed=5)))
     cfg = load_config(path)
     assert cfg.b_list == (2,) and cfg.n_list == (50,) and cfg.field_source == "random"
-
-
-def test_with_overrides():
-    cfg = small_config()
-    out = with_overrides(cfg, trials=11, output_dir="/tmp/x")
-    assert out.trials == 11 and out.output_dir == "/tmp/x"
-    assert with_overrides(cfg) is cfg
 
 
 # ---- sweep behaviour ----
@@ -249,10 +242,20 @@ def test_cli_usage_errors_exit_1(tmp_path, run_cli):
         assert "usage" in r.stderr, f"{args}: {r.stderr}"
 
 
-def test_cli_runtime_errors_exit_2(tmp_path, run_cli):
+def test_cli_runtime_errors_exit_2(tmp_path, run_cli, cosine_field):
     r = run_cli("estimate", "--field", "missing.json", "--n", "50", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert "error" in r.stderr
+    # numpy refuses these 7 PiB requests before touching any memory
+    field_path = tmp_path / "field.json"
+    save_field(cosine_field, field_path)
+    for args in [
+        ("estimate", "--field", str(field_path), "--n", "1000000000000000"),
+        ("ambiguity-demo", "--b", "1", "--grid", "1000000000000000"),
+    ]:
+        r = run_cli(*args, cwd=tmp_path)
+        assert r.returncode == 2, f"{args}: {r.stderr}"
+        assert "orderfield: error:" in r.stderr and "Traceback" not in r.stderr, r.stderr
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     r = run_cli("mse-sweep", "--config", str(bad), "--out", "o", cwd=tmp_path)
@@ -300,7 +303,8 @@ def test_cli_sweep_and_clt_and_ambiguity(tmp_path, run_cli):
 
     r = run_cli("clt-check", "--config", str(cfg), "--trials", "8", "--out", "clt", cwd=tmp_path)
     assert r.returncode == 0, r.stderr
-    assert (tmp_path / "clt" / "clt.json").exists()
+    doc = json.loads((tmp_path / "clt" / "clt.json").read_text())
+    assert doc["checks"][0]["trials"] == 8
 
     r = run_cli(
         "ambiguity-demo", "--b", "1", "--theta", "0.25", "--n", "64",

@@ -122,6 +122,17 @@ def test_sample_file_roundtrip(tmp_path, rng):
     assert header == "value_re,value_im"
 
 
+def test_load_samples_rejects_non_finite_values(tmp_path):
+    csv_path = tmp_path / "samples.csv"
+    sidecar = tmp_path / "samples.json"
+    csv_path.write_text("value_re,value_im\nnan,0\n")
+    sidecar.write_text('{"n": 1, "b_source": 0, "seed": ""}\n')
+    with pytest.raises(ValueError, match="finite"):
+        load_samples(csv_path, sidecar)
+    with pytest.raises(ValueError, match="finite"):
+        SampleSet(n=2, values=np.array([0.5, np.inf]))
+
+
 def test_load_samples_rejects_wrong_header(tmp_path):
     csv_path = tmp_path / "samples.csv"
     sidecar = tmp_path / "samples.json"
