@@ -36,7 +36,6 @@ from .asymptotics import (
 )
 from .ambiguity import (
     AmbiguityReport,
-    ValueCdf,
     ambiguity_demo,
     empirical_value_cdf,
     level_measure,

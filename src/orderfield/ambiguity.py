@@ -18,26 +18,6 @@ from .fields import FourierCoefficients, eval_field, _freeze
 VALUE_IMAG_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class ValueCdf:
-    """Cumulative distribution of field values on an ascending threshold grid."""
-
-    grid: np.ndarray
-    cdf: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=np.float64).copy()
-        c = np.asarray(self.cdf, dtype=np.float64).copy()
-        if g.ndim != 1 or g.shape != c.shape:
-            raise ValueError("grid and cdf must be matching one-dimensional arrays")
-        if g.size >= 2 and np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly ascending")
-        if np.any(np.diff(c) < 0) or (c.size and (c[0] < 0.0 or c[-1] > 1.0)):
-            raise ValueError("cdf values must be non-decreasing within [0, 1]")
-        object.__setattr__(self, "grid", _freeze(g))
-        object.__setattr__(self, "cdf", _freeze(c))
-
-
 def _real_values(values: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(values)
     if np.iscomplexobj(v):
@@ -48,16 +28,17 @@ def _real_values(values: np.ndarray, what: str) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
 
 
-def empirical_value_cdf(values: np.ndarray, grid: np.ndarray) -> ValueCdf:
-    """Fraction of values at or below each grid threshold."""
+def empirical_value_cdf(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Fraction of values at or below each threshold of an ascending grid."""
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("grid must be a non-empty one-dimensional array")
+    if np.any(np.diff(g) <= 0):
+        raise ValueError("grid must be strictly ascending")
     v = np.sort(_real_values(values, "field values"))
     if v.size == 0:
         raise ValueError("need at least one value")
-    cdf = np.searchsorted(v, g, side="right") / v.size
-    return ValueCdf(grid=g, cdf=cdf)
+    return np.searchsorted(v, g, side="right") / v.size
 
 
 def level_measure(c: FourierCoefficients, x: float, grid_points: int) -> float:
@@ -71,15 +52,13 @@ def level_measure(c: FourierCoefficients, x: float, grid_points: int) -> float:
 
 
 def level_measure_curve(c: FourierCoefficients, xs: np.ndarray, grid_points: int) -> np.ndarray:
-    """`level_measure` over an ascending array of thresholds, sharing one grid."""
+    """`level_measure` over an ascending array of thresholds, sharing one grid:
+    the value CDF of the field on ``grid_points`` uniform locations."""
     if grid_points < 2 * c.b + 1:
         raise ValueError(
             f"grid must have at least {2 * c.b + 1} points for b={c.b}, got {grid_points}"
         )
-    t = np.arange(grid_points) / grid_points
-    vals = np.sort(_real_values(eval_field(c, t), "field values"))
-    xs = np.asarray(xs, dtype=np.float64)
-    return np.searchsorted(vals, xs, side="right") / grid_points
+    return empirical_value_cdf(eval_field(c, np.arange(grid_points) / grid_points), xs)
 
 
 def shift_field(c: FourierCoefficients, theta: float) -> FourierCoefficients:
@@ -167,6 +146,9 @@ def ambiguity_demo(
         raise ValueError(f"sample count must be >= 1, got {n}")
     shifted = shift_field(c, theta)
     xs = default_threshold_grid()
+    if not c.bounded:
+        # |field| <= sum |c_k|, so that sum widens the grid to every value
+        xs = xs * max(1.0, float(np.sum(np.abs(c.coeffs))))
 
     curve_o = level_measure_curve(c, xs, grid_points)
     curve_s = level_measure_curve(shifted, xs, grid_points)
@@ -176,7 +158,7 @@ def ambiguity_demo(
     values_s = eval_field(shifted, rng.random(n))
     cdf_o = empirical_value_cdf(values_o, xs)
     cdf_s = empirical_value_cdf(values_s, xs)
-    sup_emp = float(np.max(np.abs(cdf_o.cdf - cdf_s.cdf)))
+    sup_emp = float(np.max(np.abs(cdf_o - cdf_s)))
 
     return AmbiguityReport(
         b=c.b,
@@ -189,6 +171,6 @@ def ambiguity_demo(
         thresholds=xs,
         level_curve_original=curve_o,
         level_curve_shifted=curve_s,
-        empirical_cdf_original=cdf_o.cdf,
-        empirical_cdf_shifted=cdf_s.cdf,
+        empirical_cdf_original=cdf_o,
+        empirical_cdf_shifted=cdf_s,
     )

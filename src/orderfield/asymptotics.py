@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimator import estimate_coeffs
 from .fields import FourierCoefficients, build_dft_matrix, eval_derivative, eval_field, _freeze
-from .io import matrix_to_json, pair
+from .io import to_json
 from .parallel import trial_map
 from .sampling import SampleSet, deploy, quantile_indices, sorted_locations
 
@@ -39,7 +39,7 @@ def quantile_covariance(b: int) -> np.ndarray:
     return np.minimum.outer(p, p) * (1.0 - np.maximum.outer(p, p))
 
 
-def field_sample_covariance(c: FourierCoefficients, b: int) -> np.ndarray:
+def field_sample_covariance(c: FourierCoefficients) -> np.ndarray:
     """Delta-method covariance of the scaled grid-sample errors.
 
     Conjugates the quantile covariance by the diagonal matrix of field
@@ -47,9 +47,7 @@ def field_sample_covariance(c: FourierCoefficients, b: int) -> np.ndarray:
     rounding) for the delta method on a real Gaussian to apply; a residual
     imaginary part above tolerance is an error.
     """
-    if b != c.b:
-        raise ValueError(f"bandwidth mismatch: field b={c.b}, requested b={b}")
-    grid = np.arange(2 * b + 1) / (2 * b + 1)
+    grid = np.arange(2 * c.b + 1) / (2 * c.b + 1)
     d = eval_derivative(c, grid)
     imag_resid = float(np.max(np.abs(d.imag))) if d.size else 0.0
     if imag_resid > DERIVATIVE_IMAG_TOL:
@@ -58,7 +56,7 @@ def field_sample_covariance(c: FourierCoefficients, b: int) -> np.ndarray:
             "sample covariance requires a real-valued field"
         )
     dr = d.real
-    return np.outer(dr, dr) * quantile_covariance(b)
+    return np.outer(dr, dr) * quantile_covariance(c.b)
 
 
 def coeff_covariance(k_samples: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +100,7 @@ class CovarianceBundle:
 def covariance_bundle(c: FourierCoefficients) -> CovarianceBundle:
     """Compute the full covariance bundle for a field."""
     quant = quantile_covariance(c.b)
-    samp = field_sample_covariance(c, c.b)
+    samp = field_sample_covariance(c)
     herm, pseudo = coeff_covariance(samp, c.b)
     return CovarianceBundle(
         b=c.b, quantile_cov=quant, sample_cov=samp, coeff_cov_herm=herm, coeff_cov_pseudo=pseudo
@@ -187,47 +185,11 @@ class CltReport:
     pointwise_checks: tuple = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "b": int(self.b),
-            "n": int(self.n),
-            "trials": int(self.trials),
-            "empirical_coeff_cov": matrix_to_json(self.empirical_coeff_cov),
-            "analytic_coeff_cov": matrix_to_json(self.analytic_coeff_cov),
-            "coeff_cov_rel_err": float(self.coeff_cov_rel_err),
-            "empirical_coeff_pseudo": matrix_to_json(self.empirical_coeff_pseudo),
-            "analytic_coeff_pseudo": matrix_to_json(self.analytic_coeff_pseudo),
-            "coeff_pseudo_rel_err": float(self.coeff_pseudo_rel_err),
-            "empirical_quantile_cov": matrix_to_json(self.empirical_quantile_cov),
-            "analytic_quantile_cov": matrix_to_json(self.analytic_quantile_cov),
-            "quantile_cov_rel_err": float(self.quantile_cov_rel_err),
-            "per_quantile_moments": [
-                {
-                    "level_index": int(q.level_index),
-                    "rank": int(q.rank),
-                    "level": float(q.level),
-                    "mean": float(q.mean),
-                    "variance": float(q.variance),
-                    "beta_mean": float(q.beta_mean),
-                    "beta_variance": float(q.beta_variance),
-                }
-                for q in self.per_quantile_moments
-            ],
-            "pointwise_checks": [
-                {
-                    "t": float(p.t),
-                    "analytic_second_moment": pair(p.analytic_second_moment),
-                    "analytic_abs_second_moment": float(p.analytic_abs_second_moment),
-                    "empirical_second_moment": pair(p.empirical_second_moment),
-                    "empirical_abs_second_moment": float(p.empirical_abs_second_moment),
-                }
-                for p in self.pointwise_checks
-            ],
-        }
+        return to_json(self)
 
 
 def clt_empirical_check(
     field: FourierCoefficients,
-    b: int,
     n: int,
     trials: int,
     rng: np.random.Generator,
@@ -241,13 +203,12 @@ def clt_empirical_check(
     analytic limits (which are zero-mean), and the quantile comparison drops
     the degenerate zero-level coordinate that the limit law excludes.
     """
-    if b != field.b:
-        raise ValueError(f"bandwidth mismatch: field b={field.b}, requested b={b}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    b = field.b
     ranks = quantile_indices(n, b)
-    levels = np.arange(2 * b + 1) / (2 * b + 1)
     m = 2 * b + 1
+    levels = np.arange(m) / m
     sqrt_n = np.sqrt(n)
     truth = field.coeffs
     bundle = covariance_bundle(field)
@@ -257,38 +218,32 @@ def clt_empirical_check(
     child_rngs = rng.spawn(trials)
 
     def one_trial(i: int):
-        draw = deploy(n, child_rngs[i])
-        locs = sorted_locations(draw)
-        values = eval_field(field, locs)
-        sample = SampleSet(n=n, values=values, b_source=field.b)
-        est = estimate_coeffs(sample, b)
+        locs = sorted_locations(deploy(n, child_rngs[i]))
+        est = estimate_coeffs(SampleSet(values=eval_field(field, locs), b_source=b), b)
         coeff_err = sqrt_n * (est.coeffs - truth)
-        quant = locs[ranks - 1]
-        quant_err = sqrt_n * (quant - levels)
         point_err = (
             sqrt_n * (eval_field(est, points) - truth_at_points) if points is not None else None
         )
-        return coeff_err, quant_err, quant, point_err
+        return coeff_err, locs[ranks - 1], point_err
 
     results = trial_map(one_trial, trials)
 
     coeff_errs = np.stack([r[0] for r in results])
-    quant_errs = np.stack([r[1] for r in results])
-    quants = np.stack([r[2] for r in results])
+    quants = np.stack([r[1] for r in results])
+    quant_errs = sqrt_n * (quants - levels)
 
     emp_coeff = coeff_errs.T @ coeff_errs.conj() / trials
-    ana_coeff = np.asarray(bundle.coeff_cov_herm)
-    coeff_rel = _rel_frobenius(emp_coeff, ana_coeff)
+    coeff_rel = _rel_frobenius(emp_coeff, bundle.coeff_cov_herm)
 
     emp_pseudo = coeff_errs.T @ coeff_errs / trials
-    ana_pseudo = np.asarray(bundle.coeff_cov_pseudo)
-    pseudo_rel = _rel_frobenius(emp_pseudo, ana_pseudo)
+    pseudo_rel = _rel_frobenius(emp_pseudo, bundle.coeff_cov_pseudo)
 
     # Degenerate zero-level coordinate excluded: its scaled error collapses
-    # to zero and the limit law is stated for strictly interior levels.
-    emp_quant = quant_errs[:, 1:].T @ quant_errs[:, 1:] / trials if b > 0 else np.zeros((0, 0))
-    ana_quant = np.asarray(bundle.quantile_cov[1:, 1:]) if b > 0 else np.zeros((0, 0))
-    quant_rel = _rel_frobenius(emp_quant, ana_quant) if b > 0 else 0.0
+    # to zero and the limit law is stated for strictly interior levels.  At
+    # b = 0 the slices are empty, giving (0, 0) matrices and a zero error.
+    emp_quant = quant_errs[:, 1:].T @ quant_errs[:, 1:] / trials
+    ana_quant = bundle.quantile_cov[1:, 1:]
+    quant_rel = _rel_frobenius(emp_quant, ana_quant)
 
     moments = []
     for l in range(m):
@@ -307,7 +262,7 @@ def clt_empirical_check(
 
     checks = []
     if points is not None:
-        point_errs = np.stack([r[3] for r in results])
+        point_errs = np.stack([r[2] for r in results])
         for j, t in enumerate(points):
             sec, abs_sec = pointwise_variance(bundle, float(t))
             col = point_errs[:, j]
@@ -326,10 +281,10 @@ def clt_empirical_check(
         n=n,
         trials=trials,
         empirical_coeff_cov=emp_coeff,
-        analytic_coeff_cov=ana_coeff,
+        analytic_coeff_cov=bundle.coeff_cov_herm,
         coeff_cov_rel_err=coeff_rel,
         empirical_coeff_pseudo=emp_pseudo,
-        analytic_coeff_pseudo=ana_pseudo,
+        analytic_coeff_pseudo=bundle.coeff_cov_pseudo,
         coeff_pseudo_rel_err=pseudo_rel,
         empirical_quantile_cov=emp_quant,
         analytic_quantile_cov=ana_quant,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import pairs_from_json, pairs_to_json, read_json, write_json
+from .io import as_int, pairs_from_json, pairs_to_json, read_json, write_json
 
 CONJ_SYMMETRY_TOL = 1e-12
 BOUNDED_SUM_TOL = 1e-12
@@ -69,11 +69,6 @@ class FourierCoefficients:
                 )
         object.__setattr__(self, "coeffs", _freeze(c))
 
-    @property
-    def k_values(self) -> np.ndarray:
-        """Frequency indices matching the coefficient order."""
-        return np.arange(-self.b, self.b + 1)
-
     def to_json_dict(self) -> dict:
         doc = {
             "b": int(self.b),
@@ -87,11 +82,13 @@ class FourierCoefficients:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FourierCoefficients":
         try:
-            b = int(doc["b"])
-            real_valued = bool(doc["real_valued"])
+            b = as_int(doc["b"], "b")
+            real_valued = doc["real_valued"]
+            if not isinstance(real_valued, bool):
+                raise ValueError(f"real_valued must be true or false, got {real_valued!r}")
             c = pairs_from_json(doc["coeffs"])
-            n = None if doc.get("n") is None else int(doc["n"])
-        except (KeyError, TypeError) as exc:
+            n = None if doc.get("n") is None else as_int(doc["n"], "n")
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed coefficient document: {exc}") from exc
         bounded = bool(np.sum(np.abs(c)) <= 1.0 + BOUNDED_SUM_TOL)
         return cls(b=b, coeffs=c, real_valued=real_valued, bounded=bounded, n=n)

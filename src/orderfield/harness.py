@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import AmbiguityReport, ambiguity_demo
-from .asymptotics import CltReport, clt_empirical_check
+from .asymptotics import clt_empirical_check
 from .estimator import distortion, distortion_bound, estimate_coeffs
 from .fields import FourierCoefficients, load_field, random_field
-from .io import read_json, write_csv_lines, write_json
+from .io import as_int, read_json, to_json, write_csv_lines, write_json
 from .parallel import trial_map
 from .sampling import deploy, observe
 
@@ -28,12 +28,6 @@ _CONFIG_REQUIRED = ("b_list", "n_list", "trials", "base_seed")
 _CONFIG_OPTIONAL = ("field_source", "output_dir")
 
 SWEEP_CSV_HEADER = "b,n,trials,mean_distortion,stderr,n_times_mse,bound"
-
-
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -53,8 +47,8 @@ class ExperimentConfig:
     output_dir: str = ""
 
     def __post_init__(self):
-        b_list = tuple(_as_int(v, "b_list entry") for v in self.b_list)
-        n_list = tuple(_as_int(v, "n_list entry") for v in self.n_list)
+        b_list = tuple(as_int(v, "b_list entry") for v in self.b_list)
+        n_list = tuple(as_int(v, "n_list entry") for v in self.n_list)
         if not b_list:
             raise ValueError("b_list must be non-empty")
         if not n_list:
@@ -70,10 +64,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"every n must be >= {needed} (= 2*max(b)+1), got n={min(n_list)}"
             )
-        trials = _as_int(self.trials, "trials")
+        trials = as_int(self.trials, "trials")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        base_seed = _as_int(self.base_seed, "base_seed")
+        base_seed = as_int(self.base_seed, "base_seed")
         if not 0 <= base_seed < MAX_SEED:
             raise ValueError(f"base_seed must lie in [0, 2^64), got {base_seed}")
         if not isinstance(self.field_source, str) or not self.field_source:
@@ -84,16 +78,6 @@ class ExperimentConfig:
         object.__setattr__(self, "n_list", n_list)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "base_seed", base_seed)
-
-    def to_json_dict(self):
-        return {
-            "b_list": list(self.b_list),
-            "n_list": list(self.n_list),
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "field_source": self.field_source,
-            "output_dir": self.output_dir,
-        }
 
     @classmethod
     def from_json_dict(cls, d):
@@ -121,20 +105,12 @@ class SweepRow:
     n: int
     trials: int
     mean_distortion: float
-    stderr_distortion: float
+    stderr: float
     n_times_mse: float
     bound: float
 
     def to_json_dict(self):
-        return {
-            "b": self.b,
-            "n": self.n,
-            "trials": self.trials,
-            "mean_distortion": self.mean_distortion,
-            "stderr": self.stderr_distortion,
-            "n_times_mse": self.n_times_mse,
-            "bound": self.bound,
-        }
+        return to_json(self)
 
 
 def _json_float(x):
@@ -214,7 +190,7 @@ def run_mse_sweep(cfg: ExperimentConfig) -> ExperimentReport:
                     n=n,
                     trials=cfg.trials,
                     mean_distortion=mean,
-                    stderr_distortion=stderr,
+                    stderr=stderr,
                     n_times_mse=float(n * mean),
                     bound=distortion_bound(b),
                 )
@@ -232,7 +208,7 @@ def run_mse_sweep(cfg: ExperimentConfig) -> ExperimentReport:
 def write_sweep_csv(report: ExperimentReport, path):
     write_csv_lines(path, SWEEP_CSV_HEADER, (
         f"{r.b},{r.n},{r.trials},{r.mean_distortion:.17g},"
-        f"{r.stderr_distortion:.17g},{r.n_times_mse:.17g},{r.bound:.17g}"
+        f"{r.stderr:.17g},{r.n_times_mse:.17g},{r.bound:.17g}"
         for r in report.rows
     ))
 
@@ -256,7 +232,7 @@ def run_clt_check(cfg: ExperimentConfig, eval_points=None):
         for n in cfg.n_list:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, b, n)))
             reports.append(
-                clt_empirical_check(field, b, n, cfg.trials, rng, eval_points=eval_points)
+                clt_empirical_check(field, n, cfg.trials, rng, eval_points=eval_points)
             )
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
@@ -279,7 +255,7 @@ def run_ambiguity_demo(
     two-column (x, cdf) curves — the sublevel-measure curves of the field
     and its shift, and the empirical value distributions of each.
     """
-    seed = _as_int(seed, "seed")
+    seed = as_int(seed, "seed")
     if not 0 <= seed < MAX_SEED:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

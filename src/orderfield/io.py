@@ -9,6 +9,7 @@ with the `csv` module and its ``\\r\\n`` line ends.)
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -44,6 +45,31 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     if flat.size != rows * cols:
         raise ValueError(f"matrix data length {flat.size} does not match shape {(rows, cols)}")
     return flat.reshape(rows, cols)
+
+
+def to_json(x):
+    """A report value as JSON data, with the dataclass field names as keys.
+
+    Dataclasses become objects of their fields, 2-D arrays `matrix_to_json`
+    documents, complex numbers ``[re, im]`` pairs, tuples and lists lists,
+    and numpy scalars the matching Python numbers.
+    """
+    if dataclasses.is_dataclass(x):
+        return {f.name: to_json(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, np.ndarray):
+        return matrix_to_json(x)
+    if isinstance(x, (complex, np.complexfloating)):
+        return pair(x)
+    if isinstance(x, (tuple, list)):
+        return [to_json(v) for v in x]
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def as_int(value, name: str) -> int:
+    """A JSON or config integer; floats, booleans and strings raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def dumps_json(doc) -> str:

@@ -16,53 +16,60 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierCoefficients, eval_field, _freeze
-from .io import read_json, write_json
+from .io import as_int, read_json, write_json
 
 
 @dataclass(frozen=True, eq=False)
 class DeploymentDraw:
     """Unordered i.i.d. uniform sensor locations from one deployment."""
 
-    n: int
     locations: np.ndarray
     seed: str = ""
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=np.float64).copy()
-        if loc.ndim != 1 or loc.size != self.n:
-            raise ValueError(f"expected {self.n} locations, got shape {loc.shape}")
+        if loc.ndim != 1:
+            raise ValueError(f"locations must be one-dimensional, got shape {loc.shape}")
         if loc.size and (loc.min() < 0.0 or loc.max() > 1.0):
             raise ValueError("locations must lie in [0, 1]")
         object.__setattr__(self, "locations", _freeze(loc))
+
+    @property
+    def n(self) -> int:
+        return self.locations.size
 
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Field values in increasing order of their hidden sampling locations.
 
-    This is the estimator's entire input: ``n`` and the ordered values.
-    ``b_source`` and ``seed`` are provenance metadata for serialization only.
+    This is the estimator's entire input: the ordered values, whose count is
+    ``n``.  ``b_source`` and ``seed`` are provenance metadata for
+    serialization only.
     """
 
-    n: int
     values: np.ndarray
     b_source: int = -1
     seed: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128).copy()
-        if v.ndim != 1 or v.size != self.n:
-            raise ValueError(f"expected {self.n} values, got shape {v.shape}")
+        if v.ndim != 1:
+            raise ValueError(f"sample values must be one-dimensional, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("sample values must be finite")
         object.__setattr__(self, "values", _freeze(v))
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
 
 def deploy(n: int, rng: np.random.Generator, seed_label: str = "") -> DeploymentDraw:
     """Scatter ``n`` sensors at independent Uniform[0, 1] locations."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    return DeploymentDraw(n=n, locations=rng.random(n), seed=seed_label)
+    return DeploymentDraw(locations=rng.random(n), seed=seed_label)
 
 
 def sorted_locations(d: DeploymentDraw) -> np.ndarray:
@@ -77,7 +84,7 @@ def sorted_locations(d: DeploymentDraw) -> np.ndarray:
 def observe(field: FourierCoefficients, d: DeploymentDraw) -> SampleSet:
     """Evaluate the field at the sorted locations and drop the locations."""
     values = eval_field(field, sorted_locations(d))
-    return SampleSet(n=d.n, values=values, b_source=field.b, seed=d.seed)
+    return SampleSet(values=values, b_source=field.b, seed=d.seed)
 
 
 def quantile_indices(n: int, b: int) -> np.ndarray:
@@ -114,13 +121,16 @@ def save_samples(s: SampleSet, csv_path, sidecar_path) -> None:
 
 
 def load_samples(csv_path, sidecar_path) -> SampleSet:
+    """Read `save_samples` output; the sidecar's ``n`` must match the CSV rows."""
     meta = read_json(sidecar_path)
+    n = as_int(meta["n"], "n")
+    b_source = as_int(meta["b_source"], "b_source")
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["value_re", "value_im"]:
             raise ValueError(f"unexpected sample CSV header: {header}")
         values = np.array([complex(float(re), float(im)) for re, im in reader])
-    return SampleSet(
-        n=int(meta["n"]), values=values, b_source=int(meta["b_source"]), seed=str(meta["seed"])
-    )
+    if values.size != n:
+        raise ValueError(f"sample sidecar gives n={n} but the CSV has {values.size} rows")
+    return SampleSet(values=values, b_source=b_source, seed=str(meta["seed"]))

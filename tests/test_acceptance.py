@@ -59,7 +59,7 @@ def sweep_report():
 def clt_report(cosine_field):
     """Shared 10^4-trial covariance check at n = 10^4 on the cosine field."""
     rng = np.random.default_rng(np.random.SeedSequence((ACCEPT_SEED, 45)))
-    return clt_empirical_check(cosine_field, 1, 10_000, 10_000, rng)
+    return clt_empirical_check(cosine_field, 10_000, 10_000, rng)
 
 
 def test_01_mean_distortion_beats_bound(sweep_report, capsys):

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from orderfield import (
+    FourierCoefficients,
     ambiguity_demo,
     empirical_value_cdf,
     eval_field,
@@ -12,14 +13,14 @@ from orderfield import (
     shift_distortion,
     shift_field,
 )
-from orderfield.ambiguity import ValueCdf, default_threshold_grid
+from orderfield.ambiguity import default_threshold_grid
 
 
 def test_empirical_cdf_counts_at_or_below():
     values = np.array([0.1, 0.5, 0.9])
     grid = np.array([-1.0, 0.1, 0.5, 2.0])
     cdf = empirical_value_cdf(values, grid)
-    npt.assert_allclose(cdf.cdf, [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-15)
+    npt.assert_allclose(cdf, [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-15)
 
 
 def test_empirical_cdf_rejects_bad_input():
@@ -29,13 +30,6 @@ def test_empirical_cdf_rejects_bad_input():
         empirical_value_cdf(np.array([0.5]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         empirical_value_cdf(np.array([0.5 + 0.5j]), np.array([0.0, 1.0]))
-
-
-def test_value_cdf_validation():
-    with pytest.raises(ValueError):
-        ValueCdf(grid=np.array([0.0, 1.0]), cdf=np.array([0.5, 0.2]))
-    with pytest.raises(ValueError):
-        ValueCdf(grid=np.array([0.0, 1.0]), cdf=np.array([0.5, 1.2]))
 
 
 def test_level_measure_cosine_closed_form(cosine_field):
@@ -139,6 +133,17 @@ def test_demo_report_json(cosine_field, rng):
         "sup_cdf_diff_empirical",
         "distortion_between_fields",
     }
+
+
+def test_demo_thresholds_cover_unbounded_fields(rng):
+    # 1 + cos(2 pi t) takes values in [0, 2], outside the bounded-field grid
+    field = FourierCoefficients(b=1, coeffs=np.array([0.5, 1.0, 0.5]), real_valued=True)
+    assert not field.bounded
+    report = ambiguity_demo(field, 0.25, 512, 2048, rng)
+    npt.assert_array_equal(report.thresholds, 2.0 * default_threshold_grid())
+    assert report.level_curve_original[-1] == 1.0
+    assert report.empirical_cdf_original[-1] == 1.0
+    assert report.empirical_cdf_shifted[-1] == 1.0
 
 
 def test_demo_rejects_empty_sample(cosine_field, rng):

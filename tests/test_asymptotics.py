@@ -36,7 +36,7 @@ def test_quantile_covariance_structure():
 
 def test_field_sample_covariance_constant_field():
     const = FourierCoefficients(b=1, coeffs=np.array([0, 1, 0], dtype=complex), real_valued=True)
-    npt.assert_allclose(field_sample_covariance(const, 1), np.zeros((3, 3)), atol=1e-15)
+    npt.assert_allclose(field_sample_covariance(const), np.zeros((3, 3)), atol=1e-15)
 
 
 def test_field_sample_covariance_cosine_oracle(cosine_field):
@@ -44,18 +44,13 @@ def test_field_sample_covariance_cosine_oracle(cosine_field):
     # the quantile covariance by its diagonal at the grid points
     d = np.diag([0.0, -np.pi * np.sin(2 * np.pi / 3), -np.pi * np.sin(4 * np.pi / 3)])
     expected = d @ quantile_covariance(1) @ d
-    npt.assert_allclose(field_sample_covariance(cosine_field, 1), expected, atol=1e-12)
+    npt.assert_allclose(field_sample_covariance(cosine_field), expected, atol=1e-12)
 
 
 def test_field_sample_covariance_rejects_complex_derivative():
     c = FourierCoefficients(b=1, coeffs=np.array([0, 0, 0.5j]))
     with pytest.raises(ValueError):
-        field_sample_covariance(c, 1)
-
-
-def test_field_sample_covariance_rejects_mismatched_bandwidth(cosine_field):
-    with pytest.raises(ValueError):
-        field_sample_covariance(cosine_field, 2)
+        field_sample_covariance(c)
 
 
 def test_coeff_covariance_identity_input():
@@ -176,7 +171,7 @@ def test_grid_quantile_second_moment_bound():
 
 def test_clt_check_constant_field_is_exact():
     const = FourierCoefficients(b=1, coeffs=np.array([0, 1, 0], dtype=complex), real_valued=True)
-    rep = clt_empirical_check(const, 1, 60, 100, np.random.default_rng(9))
+    rep = clt_empirical_check(const, 60, 100, np.random.default_rng(9))
     assert np.max(np.abs(rep.empirical_coeff_cov)) <= 1e-8
     assert np.max(np.abs(rep.empirical_coeff_pseudo)) <= 1e-8
 
@@ -185,7 +180,7 @@ def test_clt_check_degenerate_lowest_rank(cosine_field):
     # the minimum of n uniforms concentrates at 0, so the raw variance of
     # the lowest quantile must vanish at rate n^-2
     n = 10_000
-    rep = clt_empirical_check(cosine_field, 1, n, 500, np.random.default_rng(11))
+    rep = clt_empirical_check(cosine_field, n, 500, np.random.default_rng(11))
     lowest = rep.per_quantile_moments[0]
     assert lowest.rank == 1
     assert lowest.variance <= 10.0 / n**2
@@ -194,7 +189,7 @@ def test_clt_check_degenerate_lowest_rank(cosine_field):
 
 def test_clt_check_moderate_scale_agreement(cosine_field):
     rep = clt_empirical_check(
-        cosine_field, 1, 2000, 600, np.random.default_rng(21), eval_points=[0.4]
+        cosine_field, 2000, 600, np.random.default_rng(21), eval_points=[0.4]
     )
     assert rep.coeff_cov_rel_err < 0.25
     assert rep.coeff_pseudo_rel_err < 0.25
@@ -211,18 +206,47 @@ def test_clt_check_moderate_scale_agreement(cosine_field):
 
 def test_clt_check_validates_arguments(cosine_field):
     with pytest.raises(ValueError):
-        clt_empirical_check(cosine_field, 2, 100, 10, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        clt_empirical_check(cosine_field, 1, 100, 1, np.random.default_rng(0))
+        clt_empirical_check(cosine_field, 100, 1, np.random.default_rng(0))
+
+
+def test_clt_check_constant_bandwidth_has_no_interior_levels(rng):
+    rep = clt_empirical_check(random_field(0, rng), 30, 20, rng)
+    assert rep.empirical_quantile_cov.shape == (0, 0)
+    assert rep.analytic_quantile_cov.shape == (0, 0)
+    assert rep.quantile_cov_rel_err == 0.0
+    assert np.max(np.abs(rep.empirical_coeff_cov)) <= 1e-20
+    assert len(rep.per_quantile_moments) == 1
 
 
 def test_clt_report_json_shape(cosine_field):
-    rep = clt_empirical_check(cosine_field, 1, 200, 50, np.random.default_rng(2))
+    rep = clt_empirical_check(
+        cosine_field, 200, 50, np.random.default_rng(2), eval_points=[0.1, 0.7]
+    )
     doc = rep.to_json_dict()
     assert doc["b"] == 1 and doc["n"] == 200 and doc["trials"] == 50
     emp = matrix_from_json(doc["empirical_coeff_cov"])
     npt.assert_allclose(emp, rep.empirical_coeff_cov, atol=1e-15)
     assert len(doc["per_quantile_moments"]) == 3
+    assert set(doc) == {
+        "b", "n", "trials",
+        "empirical_coeff_cov", "analytic_coeff_cov", "coeff_cov_rel_err",
+        "empirical_coeff_pseudo", "analytic_coeff_pseudo", "coeff_pseudo_rel_err",
+        "empirical_quantile_cov", "analytic_quantile_cov", "quantile_cov_rel_err",
+        "per_quantile_moments", "pointwise_checks",
+    }
+    assert set(doc["per_quantile_moments"][0]) == {
+        "level_index", "rank", "level", "mean", "variance", "beta_mean", "beta_variance",
+    }
+    assert set(doc["pointwise_checks"][0]) == {
+        "t", "analytic_second_moment", "analytic_abs_second_moment",
+        "empirical_second_moment", "empirical_abs_second_moment",
+    }
+    check, point = rep.pointwise_checks[1], doc["pointwise_checks"][1]
+    assert point["t"] == 0.7
+    assert point["empirical_second_moment"] == [
+        check.empirical_second_moment.real, check.empirical_second_moment.imag
+    ]
+    assert type(doc["per_quantile_moments"][2]["rank"]) is int
 
 
 def test_matrix_json_roundtrip(rng):

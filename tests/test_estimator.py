@@ -23,14 +23,14 @@ from orderfield import (
 def test_estimator_is_exact_on_grid_values(cosine_field):
     # with exactly 2b+1 samples the quantile ranks are 1..2b+1, so handing
     # the estimator the true grid values must reproduce the coefficients
-    s = SampleSet(n=3, values=samples_from_coeffs(cosine_field))
+    s = SampleSet(values=samples_from_coeffs(cosine_field))
     est = estimate_coeffs(s, 1)
     npt.assert_allclose(est.coeffs, cosine_field.coeffs, atol=1e-12)
     assert distortion(est, cosine_field) < 1e-24
     assert est.real_valued and est.n == 3
     # imaginary noise above the conjugate-symmetry tolerance clears the real
     # flag rather than failing the estimate's own symmetry check
-    noisy = SampleSet(n=3, values=samples_from_coeffs(cosine_field) + 1e-10j)
+    noisy = SampleSet(values=samples_from_coeffs(cosine_field) + 1e-10j)
     est = estimate_coeffs(noisy, 1)
     assert not est.real_valued
     npt.assert_allclose(est.coeffs, cosine_field.coeffs, atol=1e-9)
@@ -53,7 +53,7 @@ def test_estimate_converges_on_cosine(cosine_field):
 
 
 def test_estimate_rejects_too_few_samples(cosine_field):
-    s = SampleSet(n=3, values=samples_from_coeffs(cosine_field))
+    s = SampleSet(values=samples_from_coeffs(cosine_field))
     with pytest.raises(ValueError):
         estimate_coeffs(s, 2)
 
@@ -134,3 +134,8 @@ def test_estimate_from_json_rejects_malformed():
         FourierCoefficients.from_json_dict(
             {"b": 0, "real_valued": False, "coeffs": [[0.5, 0.0]], "n": 0}
         )
+    for n in (2.9, True, "5"):
+        with pytest.raises(ValueError, match="integer"):
+            FourierCoefficients.from_json_dict(
+                {"b": 0, "real_valued": False, "coeffs": [[0.5, 0.0]], "n": n}
+            )

@@ -196,6 +196,13 @@ def test_from_json_dict_rejects_malformed():
         FourierCoefficients.from_json_dict({"b": 1})
     with pytest.raises(ValueError):
         FourierCoefficients.from_json_dict({"b": 1, "real_valued": False, "coeffs": 3})
+    # integers and booleans are strict: no truncation of 1.7, no "no" read as true
+    coeffs = [[0, 0], [1, 0], [0, 0]]
+    for b, real_valued in ((1.7, False), (True, False), ("1", False), (1, "no"), (1, 1)):
+        with pytest.raises(ValueError):
+            FourierCoefficients.from_json_dict(
+                {"b": b, "real_valued": real_valued, "coeffs": coeffs}
+            )
 
 
 def test_unbounded_field_loads_unbounded():

@@ -92,7 +92,7 @@ def test_sweep_rows_and_invariants():
     for row in report.rows:
         assert row.trials == 6
         assert row.mean_distortion >= 0.0
-        assert row.stderr_distortion >= 0.0
+        assert row.stderr >= 0.0
         assert row.n_times_mse == row.n * row.mean_distortion
         npt.assert_allclose(row.bound, 3 * np.pi**2, atol=1e-12)
     assert set(report.slopes) == {1}
@@ -106,7 +106,7 @@ def test_sweep_is_deterministic():
 
 def test_sweep_single_trial_has_zero_stderr():
     report = run_mse_sweep(small_config(trials=1))
-    assert all(r.stderr_distortion == 0.0 for r in report.rows)
+    assert all(r.stderr == 0.0 for r in report.rows)
 
 
 def test_sweep_constant_fields_are_exact():
@@ -171,6 +171,9 @@ def test_sweep_output_files(tmp_path):
         assert float(parts[5]) == row.n_times_mse
     doc = json.loads((out / "sweep.json").read_text())
     assert doc["rows"][0]["mean_distortion"] == report.rows[0].mean_distortion
+    assert set(doc) == {"rows", "slopes"}
+    # the JSON row keys are the CSV columns
+    assert set(doc["rows"][0]) == set(SWEEP_CSV_HEADER.split(","))
 
 
 def test_clt_check_runs_and_writes(tmp_path, cosine_field):

@@ -37,9 +37,9 @@ def test_deploy_is_deterministic():
 
 def test_draw_validates_locations():
     with pytest.raises(ValueError):
-        DeploymentDraw(n=2, locations=np.array([0.5]))
+        DeploymentDraw(locations=np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        DeploymentDraw(n=2, locations=np.array([0.5, 1.5]))
+        DeploymentDraw(locations=np.array([0.5, 1.5]))
 
 
 def test_sorted_locations_sorts_without_mutating(rng):
@@ -59,7 +59,7 @@ def test_observe_evaluates_at_sorted_locations(rng, cosine_field):
 
 def test_sample_set_validates_length():
     with pytest.raises(ValueError):
-        SampleSet(n=3, values=np.zeros(2, dtype=complex))
+        SampleSet(values=np.zeros((3, 2), dtype=complex))
 
 
 def test_quantile_indices_small_cases():
@@ -99,7 +99,7 @@ def test_quantile_indices_reject_insufficient_samples():
 
 
 def test_extract_quantile_samples_is_one_based():
-    s = SampleSet(n=4, values=np.array([10.0, 20.0, 30.0, 40.0], dtype=complex))
+    s = SampleSet(values=np.array([10.0, 20.0, 30.0, 40.0], dtype=complex))
     npt.assert_array_equal(extract_quantile_samples(s, np.array([1, 4])), [10.0, 40.0])
     with pytest.raises(ValueError):
         extract_quantile_samples(s, np.array([0]))
@@ -130,7 +130,22 @@ def test_load_samples_rejects_non_finite_values(tmp_path):
     with pytest.raises(ValueError, match="finite"):
         load_samples(csv_path, sidecar)
     with pytest.raises(ValueError, match="finite"):
-        SampleSet(n=2, values=np.array([0.5, np.inf]))
+        SampleSet(values=np.array([0.5, np.inf]))
+
+
+def test_load_samples_checks_sidecar_against_csv(tmp_path):
+    csv_path = tmp_path / "samples.csv"
+    sidecar = tmp_path / "samples.json"
+    csv_path.write_text("value_re,value_im\n0.5,0\n")
+    sidecar.write_text('{"n": 2, "b_source": 0, "seed": ""}\n')
+    with pytest.raises(ValueError, match="n=2"):
+        load_samples(csv_path, sidecar)
+    for bad in ('{"n": 1.0, "b_source": 0, "seed": ""}', '{"n": 1, "b_source": true, "seed": ""}'):
+        sidecar.write_text(bad)
+        with pytest.raises(ValueError, match="integer"):
+            load_samples(csv_path, sidecar)
+    sidecar.write_text('{"n": 1, "b_source": 0, "seed": ""}\n')
+    assert load_samples(csv_path, sidecar).n == 1
 
 
 def test_load_samples_rejects_wrong_header(tmp_path):

@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Golden CLI suite: digests of every output of a fixed list of commands.
+
+    python3 tools/golden.py SRC_DIR OUT_DIR
+
+Runs each command below as ``python -m orderfield`` with the absolute
+``SRC_DIR`` first on ``PYTHONPATH`` and ``OUT_DIR`` (created, must be empty)
+as the working directory, then prints one ``sha256  name`` line for every
+command's stdout and exit code and for every file left in ``OUT_DIR``.  A
+refactor that must not change behaviour runs this on a checkout of the
+parent commit and on the change and diffs the two listings.  The digests
+can differ between CPUs or numpy builds, so compare runs from one machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CONFIGS = {
+    "cfg.json": dict(b_list=[1], n_list=[101, 301], trials=8, base_seed=3),
+    "cfg2.json": dict(b_list=[1], n_list=[64], trials=12, base_seed=4),
+    "cfg_b012.json": dict(b_list=[0, 1, 2], n_list=[25, 60], trials=10, base_seed=5),
+}
+
+FIELD = os.path.join("fld", "field.json")
+
+COMMANDS = [
+    # the determinism suite of tests/test_acceptance.py (acceptance 9)
+    ("gen-field", "--b", "3", "--seed", "11", "--out", "fld"),
+    ("estimate", "--field", FIELD, "--n", "400", "--seed", "7"),
+    ("sample", "--field", FIELD, "--n", "40", "--seed", "5", "--out", "smp"),
+    ("mse-sweep", "--config", "cfg.json", "--out", "sweep"),
+    ("clt-check", "--config", "cfg2.json", "--out", "clt"),
+    ("ambiguity-demo", "--b", "2", "--theta", "0.3", "--n", "256", "--grid", "2048",
+     "--seed", "9", "--out", "amb"),
+    # estimates written to a file and at a smaller bandwidth than the field's
+    ("estimate", "--field", FIELD, "--n", "400", "--seed", "7", "--out", "est"),
+    ("estimate", "--field", FIELD, "--n", "400", "--seed", "7", "--b", "1"),
+    # b = 0 next to b > 0 in both Monte Carlo reports
+    ("mse-sweep", "--config", "cfg_b012.json", "--out", "sweep012"),
+    ("clt-check", "--config", "cfg_b012.json", "--out", "clt012"),
+    # the ambiguity report printed, and computed for a saved field
+    ("ambiguity-demo", "--b", "1", "--theta", "0.2", "--n", "128", "--grid", "512",
+     "--seed", "3"),
+    ("ambiguity-demo", "--field", FIELD, "--theta", "0.45", "--n", "300", "--grid", "1024",
+     "--seed", "4", "--out", "amb_field"),
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python3 tools/golden.py SRC_DIR OUT_DIR", file=sys.stderr)
+        return 1
+    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if not (src / "orderfield" / "__init__.py").is_file():
+        print(f"golden: no orderfield package under {src}", file=sys.stderr)
+        return 1
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        print(f"golden: {out} is not empty", file=sys.stderr)
+        return 1
+    for name, cfg in CONFIGS.items():
+        (out / name).write_text(json.dumps(cfg))
+    env = dict(os.environ)
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(src) + (os.pathsep + rest if rest else "")
+    for i, args in enumerate(COMMANDS):
+        r = subprocess.run([sys.executable, "-m", "orderfield", *args],
+                           capture_output=True, cwd=str(out), env=env)
+        print(f"{sha256(r.stdout)}  [{i:02d} {args[0]} stdout, exit {r.returncode}]")
+    for p in sorted(out.rglob("*")):
+        if p.is_file():
+            print(f"{sha256(p.read_bytes())}  {p.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
