@@ -19,6 +19,7 @@ from .sampling import (
     load_samples,
     observe,
     quantile_indices,
+    quantile_locations,
     save_samples,
     sorted_locations,
 )

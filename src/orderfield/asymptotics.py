@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import estimate_coeffs
-from .fields import FourierCoefficients, build_dft_matrix, eval_derivative, eval_field, _freeze
+from .fields import (
+    FourierCoefficients, build_dft_matrix, coeffs_from_samples, eval_derivative, eval_field, _freeze
+)
 from .io import to_json
 from .parallel import trial_map
-from .sampling import SampleSet, deploy, quantile_indices, sorted_locations
+from .sampling import deploy, quantile_indices, quantile_locations
 
 DERIVATIVE_IMAG_TOL = 1e-8
 
@@ -195,13 +196,13 @@ def clt_empirical_check(
     rng: np.random.Generator,
     eval_points=None,
 ) -> CltReport:
-    """Run independent deploy/observe/estimate pipelines and compare moments.
+    """Run independent deploy/estimate pipelines and compare moments.
 
     Each trial owns a generator spawned from ``rng``, draws a fresh
-    deployment, estimates the coefficients from the ordered values, and
-    contributes the scaled errors.  Second moments are taken about the
-    analytic limits (which are zero-mean), and the quantile comparison drops
-    the degenerate zero-level coordinate that the limit law excludes.
+    deployment and estimates the coefficients from the field values at its
+    ranked locations.  Second moments of the scaled errors are taken about
+    the analytic limits (which are zero-mean), and the quantile comparison
+    drops the degenerate zero-level coordinate that the limit law excludes.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
@@ -210,7 +211,6 @@ def clt_empirical_check(
     m = 2 * b + 1
     levels = np.arange(m) / m
     sqrt_n = np.sqrt(n)
-    truth = field.coeffs
     bundle = covariance_bundle(field)
     points = np.asarray(eval_points, dtype=np.float64) if eval_points is not None else None
     truth_at_points = eval_field(field, points) if points is not None else None
@@ -218,17 +218,13 @@ def clt_empirical_check(
     child_rngs = rng.spawn(trials)
 
     def one_trial(i: int):
-        locs = sorted_locations(deploy(n, child_rngs[i]))
-        est = estimate_coeffs(SampleSet(values=eval_field(field, locs), b_source=b), b)
-        coeff_err = sqrt_n * (est.coeffs - truth)
-        point_err = (
-            sqrt_n * (eval_field(est, points) - truth_at_points) if points is not None else None
-        )
-        return coeff_err, locs[ranks - 1], point_err
+        locs = quantile_locations(deploy(n, child_rngs[i]), b)
+        return coeffs_from_samples(eval_field(field, locs)), locs
 
     results = trial_map(one_trial, trials)
 
-    coeff_errs = np.stack([r[0] for r in results])
+    ests = [r[0] for r in results]
+    coeff_errs = sqrt_n * (np.stack([e.coeffs for e in ests]) - field.coeffs)
     quants = np.stack([r[1] for r in results])
     quant_errs = sqrt_n * (quants - levels)
 
@@ -262,7 +258,7 @@ def clt_empirical_check(
 
     checks = []
     if points is not None:
-        point_errs = np.stack([r[2] for r in results])
+        point_errs = sqrt_n * (np.stack([eval_field(e, points) for e in ests]) - truth_at_points)
         for j, t in enumerate(points):
             sec, abs_sec = pointwise_variance(bundle, float(t))
             col = point_errs[:, j]

@@ -3,7 +3,8 @@
 Every trial derives its generator from ``SeedSequence((base_seed, b, n, i))``,
 so any cell of any sweep can be reproduced in isolation and the outputs are
 byte-identical at every worker count: workers only compute, and results are
-merged in trial order before any reduction.
+merged in trial order before any reduction.  A trial evaluates the field only
+at the 2b+1 ranked locations of its draw (`quantile_locations`).
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import numpy as np
 
 from .ambiguity import AmbiguityReport, ambiguity_demo
 from .asymptotics import clt_empirical_check
-from .estimator import distortion, distortion_bound, estimate_coeffs
-from .fields import FourierCoefficients, load_field, random_field
+from .estimator import distortion, distortion_bound
+from .fields import FourierCoefficients, coeffs_from_samples, eval_field, load_field, random_field
 from .io import as_int, read_json, to_json, write_csv_lines, write_json
 from .parallel import trial_map
-from .sampling import deploy, observe
+from .sampling import deploy, quantile_locations
 
 MAX_SEED = 2**64
 
@@ -148,10 +149,8 @@ def _cell_distortions(cfg: ExperimentConfig, b: int, n: int, fixed) -> np.ndarra
     def one_trial(i):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, b, n, i)))
         field = fixed if fixed is not None else random_field(b, rng)
-        draw = deploy(n, rng)
-        samples = observe(field, draw)
-        est = estimate_coeffs(samples, b)
-        return distortion(est, field)
+        locs = quantile_locations(deploy(n, rng), b)
+        return distortion(coeffs_from_samples(eval_field(field, locs)), field)
 
     return np.asarray(trial_map(one_trial, cfg.trials), dtype=np.float64)
 

@@ -1,8 +1,8 @@
 """Deterministic fan-out of independent Monte Carlo trials.
 
 Worker count comes from the ORDERSTAT_THREADS environment variable (default
-1).  Results are always assembled in trial order, so output is identical at
-any worker count.
+1), capped at the trial count and the CPU count.  Results are always
+assembled in trial order, so output is identical at any worker count.
 """
 
 from __future__ import annotations
@@ -29,10 +29,15 @@ def worker_count() -> int:
     return count
 
 
+def pool_size(count: int) -> int:
+    """Threads for ``count`` trials: the requested workers, at most one per trial and CPU."""
+    return min(worker_count(), count, os.cpu_count() or 1)
+
+
 def trial_map(fn: Callable[[int], T], count: int) -> list[T]:
     """Apply ``fn`` to trial indices 0..count-1, merging results in index order."""
-    workers = worker_count()
-    if workers <= 1 or count <= 1:
+    workers = pool_size(count)
+    if workers <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))

@@ -5,7 +5,8 @@ estimator is only ever handed a `SampleSet`: the field values listed in
 increasing order of their locations, with the locations themselves dropped.
 Simulation-side code that needs the hidden locations (covariance checks,
 order-statistic diagnostics) reads them from the `DeploymentDraw` via
-`sorted_locations`; nothing on the estimation path accepts a draw.
+`sorted_locations`; nothing on the estimation path accepts a draw.  Monte
+Carlo trials evaluate the field only at the 2b+1 `quantile_locations`.
 """
 
 from __future__ import annotations
@@ -73,12 +74,8 @@ def deploy(n: int, rng: np.random.Generator, seed_label: str = "") -> Deployment
 
 
 def sorted_locations(d: DeploymentDraw) -> np.ndarray:
-    """Hidden locations in increasing order.
-
-    Simulation-side only; ties (equal floats) keep draw order, which is
-    unobservable in the values but fixes the convention.
-    """
-    return np.sort(d.locations, kind="stable")
+    """Hidden locations in increasing order (simulation-side only)."""
+    return np.sort(d.locations)
 
 
 def observe(field: FourierCoefficients, d: DeploymentDraw) -> SampleSet:
@@ -100,6 +97,11 @@ def quantile_indices(n: int, b: int) -> np.ndarray:
     if n < m:
         raise ValueError(f"need at least {m} samples for bandwidth index {b}, got {n}")
     return np.array([(n * l) // m + 1 for l in range(m)], dtype=np.int64)
+
+
+def quantile_locations(d: DeploymentDraw, b: int) -> np.ndarray:
+    """The 2b+1 sorted locations at the `quantile_indices` ranks of the draw."""
+    return sorted_locations(d)[quantile_indices(d.n, b) - 1]
 
 
 def extract_quantile_samples(s: SampleSet, ranks: np.ndarray) -> np.ndarray:

@@ -10,15 +10,20 @@ import pytest
 
 from orderfield import (
     ExperimentConfig,
+    deploy,
+    distortion,
+    estimate_coeffs,
     load_config,
     loglog_slope,
+    observe,
+    random_field,
     run_ambiguity_demo,
     run_clt_check,
     run_mse_sweep,
     save_field,
 )
 from orderfield.fields import FourierCoefficients
-from orderfield.harness import SWEEP_CSV_HEADER
+from orderfield.harness import SWEEP_CSV_HEADER, _cell_distortions
 
 
 def small_config(**overrides):
@@ -116,6 +121,40 @@ def test_sweep_constant_fields_are_exact():
     assert np.isnan(report.slopes[0])
     doc = report.to_json_dict()
     assert doc["slopes"]["0"] is None
+
+
+def _full_path_distortions(cfg, b, n, fixed):
+    """Reference trials: order all n values (`observe`), then `estimate_coeffs`."""
+    out = []
+    for i in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, b, n, i)))
+        field = fixed if fixed is not None else random_field(b, rng)
+        out.append(distortion(estimate_coeffs(observe(field, deploy(n, rng)), b), field))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("b", [0, 1, 3])
+@pytest.mark.parametrize("fixed_field", [False, True])
+def test_rank_only_trials_equal_the_full_path(b, fixed_field):
+    fixed = None
+    if fixed_field:
+        fixed = random_field(b, np.random.default_rng(40 + b), real_valued=False)
+    for n in sorted({2 * b + 1, 2 * b + 2, 50, 333, 1000}):
+        cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=12, base_seed=17 + n)
+        rank_only = _cell_distortions(cfg, b, n, fixed)
+        assert rank_only.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()
+
+
+def test_rank_only_trials_match_the_full_path_at_large_n():
+    # Not bitwise: from 16384 points on, numpy's temporary elision turns the
+    # final `acc * exp(...)` of `fields._horner_eval` into a commuted product,
+    # which rounds differently with FMA, so a value depends on how many points
+    # are evaluated with it (last-bit differences, 2.2e-14 relative at worst).
+    b, n = 3, 10**5
+    cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=4, base_seed=5)
+    npt.assert_allclose(
+        _cell_distortions(cfg, b, n, None), _full_path_distortions(cfg, b, n, None), rtol=1e-12
+    )
 
 
 def test_loglog_slope_recovers_exact_power_law():
