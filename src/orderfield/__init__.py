@@ -23,7 +23,7 @@ from .sampling import (
     save_samples,
     sorted_locations,
 )
-from .estimator import distortion, distortion_bound, estimate_coeffs
+from .estimator import distortion, distortion_bound, estimate_at, estimate_coeffs
 from .asymptotics import (
     CltReport,
     CovarianceBundle,

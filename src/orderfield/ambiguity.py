@@ -64,6 +64,8 @@ def level_measure_curve(c: FourierCoefficients, xs: np.ndarray, grid_points: int
 def shift_field(c: FourierCoefficients, theta: float) -> FourierCoefficients:
     """Cyclically shift the field by ``theta``: coefficient k picks up phase
     ``exp(-2j*pi*k*theta)``.  Real-valuedness and boundedness survive."""
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     k = np.arange(-c.b, c.b + 1)
     shifted = c.coeffs * np.exp(-2j * np.pi * k * float(theta))
     return FourierCoefficients(

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import estimate_at
 from .fields import (
-    FourierCoefficients, build_dft_matrix, coeffs_from_samples, eval_derivative, eval_field, _freeze
+    FourierCoefficients, build_dft_matrix, eval_derivative, eval_field, _freeze, _horner_eval
 )
 from .io import to_json
 from .parallel import trial_map
@@ -198,11 +199,11 @@ def clt_empirical_check(
 ) -> CltReport:
     """Run independent deploy/estimate pipelines and compare moments.
 
-    Each trial owns a generator spawned from ``rng``, draws a fresh
-    deployment and estimates the coefficients from the field values at its
-    ranked locations.  Second moments of the scaled errors are taken about
-    the analytic limits (which are zero-mean), and the quantile comparison
-    drops the degenerate zero-level coordinate that the limit law excludes.
+    Each trial owns a generator spawned from ``rng`` and keeps the ranked
+    locations of a fresh deployment; `estimate_at` estimates all trials at
+    once.  Second moments of the scaled errors are taken about the analytic
+    limits (which are zero-mean), and the quantile comparison drops the
+    degenerate zero-level coordinate that the limit law excludes.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
@@ -212,20 +213,15 @@ def clt_empirical_check(
     levels = np.arange(m) / m
     sqrt_n = np.sqrt(n)
     bundle = covariance_bundle(field)
-    points = np.asarray(eval_points, dtype=np.float64) if eval_points is not None else None
-    truth_at_points = eval_field(field, points) if points is not None else None
 
     child_rngs = rng.spawn(trials)
 
     def one_trial(i: int):
-        locs = quantile_locations(deploy(n, child_rngs[i]), b)
-        return coeffs_from_samples(eval_field(field, locs)), locs
+        return quantile_locations(deploy(n, child_rngs[i]), b)
 
-    results = trial_map(one_trial, trials)
-
-    ests = [r[0] for r in results]
-    coeff_errs = sqrt_n * (np.stack([e.coeffs for e in ests]) - field.coeffs)
-    quants = np.stack([r[1] for r in results])
+    quants = np.stack(trial_map(one_trial, trials))
+    ests = estimate_at(field.coeffs, quants)
+    coeff_errs = sqrt_n * (ests - field.coeffs)
     quant_errs = sqrt_n * (quants - levels)
 
     emp_coeff = coeff_errs.T @ coeff_errs.conj() / trials
@@ -257,8 +253,10 @@ def clt_empirical_check(
         )
 
     checks = []
-    if points is not None:
-        point_errs = sqrt_n * (np.stack([eval_field(e, points) for e in ests]) - truth_at_points)
+    if eval_points is not None:
+        points = np.asarray(eval_points, dtype=np.float64)
+        at_points = _horner_eval(ests, b, np.broadcast_to(points, (trials, points.size)))
+        point_errs = sqrt_n * (at_points - eval_field(field, points))
         for j, t in enumerate(points):
             sec, abs_sec = pointwise_variance(bundle, float(t))
             col = point_errs[:, j]

@@ -14,11 +14,9 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from .estimator import estimate_coeffs
 from .fields import load_field, random_field, save_field
-from .harness import load_config, run_ambiguity_demo, run_clt_check, run_mse_sweep
+from .harness import load_config, run_ambiguity_demo, run_clt_check, run_mse_sweep, seeded_rng
 from .io import dumps_json
 from .sampling import deploy, observe, save_samples
 
@@ -31,10 +29,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def _save_or_print(c, out: str, name: str) -> None:
@@ -51,12 +45,12 @@ def _save_or_print(c, out: str, name: str) -> None:
 def _sample_field(args):
     """The field from --field and its ordered samples at --n seeded locations."""
     field = load_field(args.field)
-    draw = deploy(args.n, _make_rng(args.seed), seed_label=str(args.seed))
+    draw = deploy(args.n, seeded_rng(args.seed), seed_label=str(args.seed))
     return field, observe(field, draw)
 
 
 def _cmd_gen_field(args) -> int:
-    _save_or_print(random_field(args.b, _make_rng(args.seed)), args.out, "field.json")
+    _save_or_print(random_field(args.b, seeded_rng(args.seed)), args.out, "field.json")
     return 0
 
 
@@ -113,7 +107,7 @@ def _cmd_ambiguity_demo(args) -> int:
     if args.field:
         field = load_field(args.field)
     else:
-        field = random_field(args.b, _make_rng(args.seed))
+        field = random_field(args.b, seeded_rng(args.seed))
     report = run_ambiguity_demo(
         field, args.theta, args.n, args.grid, args.seed, output_dir=args.out
     )

@@ -17,6 +17,7 @@ from .fields import (
     build_dft_matrix,
     _conj_asymmetry,
     _grid_to_coeffs,
+    _horner_eval,
 )
 from .sampling import SampleSet, extract_quantile_samples, quantile_indices
 
@@ -35,6 +36,16 @@ def estimate_coeffs(s: SampleSet, b: int) -> FourierCoefficients:
     coeffs = _grid_to_coeffs(build_dft_matrix(b), g)
     real = _conj_asymmetry(coeffs) <= CONJ_SYMMETRY_TOL
     return FourierCoefficients(b=b, coeffs=coeffs, real_valued=real, n=s.n)
+
+
+def estimate_at(coeffs: np.ndarray, locations: np.ndarray) -> np.ndarray:
+    """The ``(T, 2b+1)`` estimates from T trials' stacked `quantile_locations`, for one
+    field's ``coeffs`` or a stack of them; row i equals `estimate_coeffs` on trial i, bitwise."""
+    b = (coeffs.shape[-1] - 1) // 2
+    est = _grid_to_coeffs(build_dft_matrix(b), _horner_eval(coeffs, b, locations))
+    if not np.all(np.isfinite(est)):
+        raise ValueError("coefficients must be finite")
+    return est
 
 
 def distortion(e: FourierCoefficients, truth: FourierCoefficients) -> float:

@@ -121,19 +121,23 @@ def build_dft_matrix(b: int) -> np.ndarray:
 
 
 def _grid_to_coeffs(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Inverse of ``matrix = build_dft_matrix(b)`` applied to the grid samples ``g``."""
-    return matrix.conj().T @ g / matrix.shape[0]
+    """Inverse of ``matrix = build_dft_matrix(b)`` applied to the grid samples ``g``,
+    one vector of 2b+1 samples or a ``(T, 2b+1)`` stack of them."""
+    return (matrix.conj().T @ g[..., None])[..., 0] / matrix.shape[0]
 
 
 def _horner_eval(coeffs: np.ndarray, b: int, t):
-    """Evaluate sum_k coeffs[b+k] * exp(2j*pi*k*t) for scalar or array t."""
+    """Evaluate sum_k coeffs[..., b+k] * exp(2j*pi*k*t) for scalar or array t; a
+    ``(T, 2b+1)`` coefficient stack takes ``(T, k)`` points, row by row."""
     t = np.mod(np.asarray(t, dtype=np.float64), 1.0)
     z = np.exp(2j * np.pi * t)
-    acc = np.full_like(z, coeffs[-1])
+    c = coeffs if coeffs.ndim == 1 else coeffs.T[:, :, None]
+    acc = np.full_like(z, c[-1])
     for m in range(2 * b - 1, -1, -1):
-        acc = acc * z + coeffs[m]
+        acc = acc * z + c[m]
     if b > 0:
-        acc = acc * np.exp(-2j * np.pi * b * t)
+        # in place, or numpy's elision of large temporaries commutes (and re-rounds) it
+        acc *= np.exp(-2j * np.pi * b * t)
     return acc
 
 

@@ -3,8 +3,9 @@
 Every trial derives its generator from ``SeedSequence((base_seed, b, n, i))``,
 so any cell of any sweep can be reproduced in isolation and the outputs are
 byte-identical at every worker count: workers only compute, and results are
-merged in trial order before any reduction.  A trial evaluates the field only
-at the 2b+1 ranked locations of its draw (`quantile_locations`).
+merged in trial order before any reduction.  A trial keeps only its field and
+the 2b+1 ranked locations of its draw (`quantile_locations`); the estimates of
+a cell's trials are then taken in one batched step (`estimate_at`).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .ambiguity import AmbiguityReport, ambiguity_demo
 from .asymptotics import clt_empirical_check
-from .estimator import distortion, distortion_bound
-from .fields import FourierCoefficients, coeffs_from_samples, eval_field, load_field, random_field
+from .estimator import distortion_bound, estimate_at
+from .fields import FourierCoefficients, load_field, random_field
 from .io import as_int, read_json, to_json, write_csv_lines, write_json
 from .parallel import trial_map
 from .sampling import deploy, quantile_locations
@@ -149,10 +150,10 @@ def _cell_distortions(cfg: ExperimentConfig, b: int, n: int, fixed) -> np.ndarra
     def one_trial(i):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, b, n, i)))
         field = fixed if fixed is not None else random_field(b, rng)
-        locs = quantile_locations(deploy(n, rng), b)
-        return distortion(coeffs_from_samples(eval_field(field, locs)), field)
+        return field.coeffs, quantile_locations(deploy(n, rng), b)
 
-    return np.asarray(trial_map(one_trial, cfg.trials), dtype=np.float64)
+    coeffs, locs = (np.stack(a) for a in zip(*trial_map(one_trial, cfg.trials)))
+    return np.sum(np.abs(estimate_at(coeffs, locs) - coeffs) ** 2, axis=1)
 
 
 def loglog_slope(n_values, means) -> float:
@@ -179,10 +180,7 @@ def run_mse_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         for n in cfg.n_list:
             dists = _cell_distortions(cfg, b, n, fixed)
             mean = float(np.mean(dists))
-            if cfg.trials > 1:
-                stderr = float(np.std(dists, ddof=1) / math.sqrt(cfg.trials))
-            else:
-                stderr = 0.0
+            stderr = float(np.std(dists, ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
             rows.append(
                 SweepRow(
                     b=b,
@@ -240,6 +238,14 @@ def run_clt_check(cfg: ExperimentConfig, eval_points=None):
     return reports
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of a command's ``--seed``, which must lie in [0, 2^64)."""
+    seed = as_int(seed, "seed")
+    if not 0 <= seed < MAX_SEED:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
 def run_ambiguity_demo(
     field: FourierCoefficients,
     theta: float,
@@ -254,11 +260,7 @@ def run_ambiguity_demo(
     two-column (x, cdf) curves — the sublevel-measure curves of the field
     and its shift, and the empirical value distributions of each.
     """
-    seed = as_int(seed, "seed")
-    if not 0 <= seed < MAX_SEED:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    report = ambiguity_demo(field, theta, n, grid_points, rng)
+    report = ambiguity_demo(field, theta, n, grid_points, seeded_rng(seed))
     if output_dir:
         os.makedirs(output_dir, exist_ok=True)
         write_json(os.path.join(output_dir, "ambiguity.json"), report.to_json_dict())

@@ -1,12 +1,12 @@
 """Sensor deployment simulation and the ordered, location-free sample view.
 
-Deployment draws independent uniform locations on the unit interval.  The
-estimator is only ever handed a `SampleSet`: the field values listed in
-increasing order of their locations, with the locations themselves dropped.
-Simulation-side code that needs the hidden locations (covariance checks,
-order-statistic diagnostics) reads them from the `DeploymentDraw` via
-`sorted_locations`; nothing on the estimation path accepts a draw.  Monte
-Carlo trials evaluate the field only at the 2b+1 `quantile_locations`.
+Deployment draws independent uniform locations on the unit interval and keeps
+them sorted (sensors are exchangeable).  The estimator is only ever handed a
+`SampleSet`: the field values listed in increasing order of their locations,
+with the locations themselves dropped.  Simulation-side code that needs the
+hidden locations (covariance checks, order-statistic diagnostics) reads them
+from the `DeploymentDraw`; nothing on the estimation path accepts a draw.
+Monte Carlo trials evaluate the field only at the 2b+1 `quantile_locations`.
 """
 
 from __future__ import annotations
@@ -22,16 +22,27 @@ from .io import as_int, read_json, write_json
 
 @dataclass(frozen=True, eq=False)
 class DeploymentDraw:
-    """Unordered i.i.d. uniform sensor locations from one deployment."""
+    """I.i.d. uniform locations of one deployment, sorted; a caller's array is copied first."""
 
     locations: np.ndarray
     seed: str = ""
 
     def __post_init__(self):
-        loc = np.asarray(self.locations, dtype=np.float64).copy()
+        self._keep_sorted(np.array(self.locations, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, loc: np.ndarray, seed: str) -> "DeploymentDraw":
+        """A draw that sorts and keeps the fresh float64 array ``loc`` itself, not a copy."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "seed", seed)
+        d._keep_sorted(loc)
+        return d
+
+    def _keep_sorted(self, loc: np.ndarray) -> None:
         if loc.ndim != 1:
             raise ValueError(f"locations must be one-dimensional, got shape {loc.shape}")
-        if loc.size and (loc.min() < 0.0 or loc.max() > 1.0):
+        loc.sort()
+        if loc.size and (loc[0] < 0.0 or not loc[-1] <= 1.0):  # a NaN sorts last
             raise ValueError("locations must lie in [0, 1]")
         object.__setattr__(self, "locations", _freeze(loc))
 
@@ -67,20 +78,20 @@ class SampleSet:
 
 
 def deploy(n: int, rng: np.random.Generator, seed_label: str = "") -> DeploymentDraw:
-    """Scatter ``n`` sensors at independent Uniform[0, 1] locations."""
+    """Scatter ``n`` sensors at Uniform[0, 1] locations, sorting the fresh draw in place."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    return DeploymentDraw(locations=rng.random(n), seed=seed_label)
+    return DeploymentDraw._adopt(rng.random(n), seed_label)
 
 
 def sorted_locations(d: DeploymentDraw) -> np.ndarray:
     """Hidden locations in increasing order (simulation-side only)."""
-    return np.sort(d.locations)
+    return d.locations
 
 
 def observe(field: FourierCoefficients, d: DeploymentDraw) -> SampleSet:
     """Evaluate the field at the sorted locations and drop the locations."""
-    values = eval_field(field, sorted_locations(d))
+    values = eval_field(field, d.locations)
     return SampleSet(values=values, b_source=field.b, seed=d.seed)
 
 
@@ -101,7 +112,7 @@ def quantile_indices(n: int, b: int) -> np.ndarray:
 
 def quantile_locations(d: DeploymentDraw, b: int) -> np.ndarray:
     """The 2b+1 sorted locations at the `quantile_indices` ranks of the draw."""
-    return sorted_locations(d)[quantile_indices(d.n, b) - 1]
+    return d.locations[quantile_indices(d.n, b) - 1]
 
 
 def extract_quantile_samples(s: SampleSet, ranks: np.ndarray) -> np.ndarray:

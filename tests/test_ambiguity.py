@@ -72,6 +72,12 @@ def test_shift_by_zero_is_identity(cosine_field):
     assert shift_distortion(cosine_field, 0.0) == 0.0
 
 
+def test_shift_rejects_non_finite_theta(cosine_field):
+    for theta in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            shift_field(cosine_field, theta)
+
+
 def test_shift_distortion_cosine_quarter_period(cosine_field):
     # |a_1|^2 |1 - e^{-j pi/2}|^2 twice: 2 * (1/16) * 2 = 1/4
     npt.assert_allclose(shift_distortion(cosine_field, 0.25), 0.25, atol=1e-12)

@@ -224,35 +224,47 @@ def test_clt_check_constant_bandwidth_has_no_interior_levels(rng):
     assert len(rep.per_quantile_moments) == 1
 
 
-@pytest.mark.parametrize("b, n_list", [(0, [1, 40]), (1, [3, 101, 10**4]), (3, [7, 1000])])
-def test_clt_check_rank_only_trials_equal_the_full_path(b, n_list):
+def _assert_report_equals_the_full_path(field, n, trials, points):
     # Reference trials order all n values (`observe`) before `estimate_coeffs`;
     # every report moment is built from the same per-trial arrays, so each one
     # must match bitwise.
+    b = field.b
+    rep = clt_empirical_check(field, n, trials, np.random.default_rng(n), eval_points=points)
+    ranks, sqrt_n, m = quantile_indices(n, b), np.sqrt(n), 2 * b + 1
+    locs, coeff_errs, point_errs = [], [], []
+    for child in np.random.default_rng(n).spawn(trials):
+        d = deploy(n, child)
+        est = estimate_coeffs(observe(field, d), b)
+        locs.append(sorted_locations(d)[ranks - 1])
+        coeff_errs.append(sqrt_n * (est.coeffs - field.coeffs))
+        point_errs.append(sqrt_n * (eval_field(est, points) - eval_field(field, points)))
+    locs, coeff_errs, point_errs = np.stack(locs), np.stack(coeff_errs), np.stack(point_errs)
+    quant_errs = sqrt_n * (locs - np.arange(m) / m)
+    npt.assert_array_equal(rep.empirical_coeff_cov, coeff_errs.T @ coeff_errs.conj() / trials)
+    npt.assert_array_equal(rep.empirical_coeff_pseudo, coeff_errs.T @ coeff_errs / trials)
+    npt.assert_array_equal(
+        rep.empirical_quantile_cov, quant_errs[:, 1:].T @ quant_errs[:, 1:] / trials
+    )
+    for q, col in zip(rep.per_quantile_moments, locs.T):
+        assert (q.mean, q.variance) == (np.mean(col), np.var(col, ddof=1))
+    for c, col in zip(rep.pointwise_checks, point_errs.T):
+        assert c.empirical_second_moment == np.mean(col**2)
+        assert c.empirical_abs_second_moment == np.mean(np.abs(col) ** 2)
+
+
+@pytest.mark.parametrize("b, n_list", [(0, [1, 40]), (1, [3, 101, 10**4]), (3, [7, 1000])])
+def test_clt_check_rank_only_trials_equal_the_full_path(b, n_list):
     field = random_field(b, np.random.default_rng(60 + b))
-    points = np.array([0.1, 0.7])
-    trials = 40
     for n in n_list:
-        rep = clt_empirical_check(field, n, trials, np.random.default_rng(n), eval_points=points)
-        ranks, sqrt_n, m = quantile_indices(n, b), np.sqrt(n), 2 * b + 1
-        locs, coeff_errs, point_errs = [], [], []
-        for child in np.random.default_rng(n).spawn(trials):
-            d = deploy(n, child)
-            est = estimate_coeffs(observe(field, d), b)
-            locs.append(sorted_locations(d)[ranks - 1])
-            coeff_errs.append(sqrt_n * (est.coeffs - field.coeffs))
-            point_errs.append(sqrt_n * (eval_field(est, points) - eval_field(field, points)))
-        locs, coeff_errs, point_errs = np.stack(locs), np.stack(coeff_errs), np.stack(point_errs)
-        quant_errs = sqrt_n * (locs - np.arange(m) / m)
-        npt.assert_array_equal(rep.empirical_coeff_cov, coeff_errs.T @ coeff_errs.conj() / trials)
-        npt.assert_array_equal(rep.empirical_coeff_pseudo, coeff_errs.T @ coeff_errs / trials)
-        npt.assert_array_equal(
-            rep.empirical_quantile_cov, quant_errs[:, 1:].T @ quant_errs[:, 1:] / trials
-        )
-        for q, col in zip(rep.per_quantile_moments, locs.T):
-            assert (q.mean, q.variance) == (np.mean(col), np.var(col, ddof=1))
-        for c, col in zip(rep.pointwise_checks, point_errs.T):
-            assert c.empirical_second_moment == np.mean(col**2)
+        _assert_report_equals_the_full_path(field, n, 40, np.array([0.1, 0.7]))
+
+
+def test_clt_check_batched_trials_equal_the_full_path_above_16384_values():
+    # 5462 trials x 3 ranked locations, and x 3 evaluation points, each give
+    # 16386 values in one batched evaluation, past the size from which numpy
+    # elides temporaries
+    field = random_field(1, np.random.default_rng(61))
+    _assert_report_equals_the_full_path(field, 30, 5462, np.array([0.1, 0.45, 0.7]))
 
 
 def test_clt_report_json_shape(cosine_field):

@@ -10,10 +10,12 @@ from orderfield import (
     deploy,
     distortion,
     distortion_bound,
+    estimate_at,
     estimate_coeffs,
     eval_field,
     load_field,
     observe,
+    quantile_locations,
     random_field,
     samples_from_coeffs,
     save_field,
@@ -66,6 +68,24 @@ def test_reconstruct_matches_coefficient_sum(rng):
     ks = np.arange(-2, 3)
     expected = (est.coeffs[None, :] * np.exp(2j * np.pi * np.outer(t, ks))).sum(axis=1)
     npt.assert_allclose(eval_field(est, t), expected, atol=1e-12)
+
+
+def test_estimate_at_rows_equal_per_trial_estimates(rng):
+    b, n = 2, 40
+    fields = [random_field(b, rng, real_valued=False) for _ in range(6)]
+    draws = [deploy(n, rng) for _ in fields]
+    locs = np.stack([quantile_locations(d, b) for d in draws])
+    stacked = estimate_at(np.stack([f.coeffs for f in fields]), locs)
+    fixed = estimate_at(fields[0].coeffs, locs)
+    for i, (f, d) in enumerate(zip(fields, draws)):
+        assert stacked[i].tolist() == estimate_coeffs(observe(f, d), b).coeffs.tolist()
+        assert fixed[i].tolist() == estimate_coeffs(observe(fields[0], d), b).coeffs.tolist()
+
+
+def test_estimate_at_rejects_non_finite_estimates(cosine_field):
+    locs = np.array([[0.0, 0.3, 0.6], [0.1, 0.4, np.nan]])
+    with pytest.raises(ValueError, match="finite"):
+        estimate_at(cosine_field.coeffs, locs)
 
 
 def test_distortion_is_squared_coefficient_distance(cosine_field):

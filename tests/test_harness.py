@@ -146,15 +146,20 @@ def test_rank_only_trials_equal_the_full_path(b, fixed_field):
 
 
 def test_rank_only_trials_match_the_full_path_at_large_n():
-    # Not bitwise: from 16384 points on, numpy's temporary elision turns the
-    # final `acc * exp(...)` of `fields._horner_eval` into a commuted product,
-    # which rounds differently with FMA, so a value depends on how many points
-    # are evaluated with it (last-bit differences, 2.2e-14 relative at worst).
     b, n = 3, 10**5
     cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=4, base_seed=5)
-    npt.assert_allclose(
-        _cell_distortions(cfg, b, n, None), _full_path_distortions(cfg, b, n, None), rtol=1e-12
-    )
+    assert (_cell_distortions(cfg, b, n, None) == _full_path_distortions(cfg, b, n, None)).all()
+
+
+@pytest.mark.parametrize("fixed_field", [False, True])
+def test_batched_cell_equals_the_full_path_above_16384_values(fixed_field):
+    # 2400 trials x 7 ranked locations = 16800 values in one batched
+    # evaluation, past the size from which numpy elides temporaries
+    b, n = 3, 50
+    fixed = random_field(b, np.random.default_rng(7), real_valued=False) if fixed_field else None
+    cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=2400, base_seed=11)
+    batched = _cell_distortions(cfg, b, n, fixed)
+    assert batched.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()
 
 
 def test_loglog_slope_recovers_exact_power_law():
@@ -307,6 +312,21 @@ def test_cli_runtime_errors_exit_2(tmp_path, run_cli, cosine_field):
     r = run_cli("mse-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_rejects_non_finite_theta_and_out_of_range_seeds(tmp_path, run_cli):
+    for args, message in [
+        (("ambiguity-demo", "--b", "1", "--theta", "inf"), "theta must be finite"),
+        (("ambiguity-demo", "--b", "1", "--theta", "nan"), "theta must be finite"),
+        (("gen-field", "--b", "1", "--seed", "-1"), "seed must lie in [0, 2^64), got -1"),
+        (("gen-field", "--b", "1", "--seed", str(2**64)), f"got {2**64}"),
+        (("ambiguity-demo", "--b", "1", "--seed", "-3"), "got -3"),
+    ]:
+        r = run_cli(*args, cwd=tmp_path)
+        assert r.returncode == 2, f"{args}: {r.stderr}"
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("orderfield: error:"), r.stderr
+        assert message in lines[0], r.stderr
 
 
 def test_cli_gen_field_prints_valid_document(tmp_path, run_cli):

@@ -41,6 +41,27 @@ def test_draw_validates_locations():
         DeploymentDraw(locations=np.zeros((2, 1)))
     with pytest.raises(ValueError):
         DeploymentDraw(locations=np.array([0.5, 1.5]))
+    for bad in ([0.2, np.nan], [np.nan], [-0.1, 0.3]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            DeploymentDraw(locations=bad)
+
+
+def test_deploy_sorts_the_generators_draw():
+    for n in (1, 2, 17, 10**5):
+        d = deploy(n, np.random.default_rng(n))
+        assert d.locations.tolist() == np.sort(np.random.default_rng(n).random(n)).tolist()
+        assert not d.locations.flags.writeable
+
+
+def test_draw_sorts_a_private_copy_of_the_callers_array():
+    given = np.array([0.9, 0.1, 0.5, 0.0, 1.0, 0.3])
+    before = given.copy()
+    d = DeploymentDraw(locations=given, seed="7")
+    npt.assert_array_equal(d.locations, np.sort(before))
+    npt.assert_array_equal(given, before)
+    assert not np.shares_memory(d.locations, given)
+    assert d.seed == "7" and d.n == 6
+    assert DeploymentDraw(locations=[0.5, 0.25]).locations.tolist() == [0.25, 0.5]
 
 
 def test_sorted_locations_sorts_without_mutating(rng):
