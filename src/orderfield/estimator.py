@@ -15,6 +15,7 @@ from .fields import (
     CONJ_SYMMETRY_TOL,
     FourierCoefficients,
     build_dft_matrix,
+    _check_coeffs,
     _conj_asymmetry,
     _grid_to_coeffs,
     _horner_eval,
@@ -43,8 +44,7 @@ def estimate_at(coeffs: np.ndarray, locations: np.ndarray) -> np.ndarray:
     field's ``coeffs`` or a stack of them; row i equals `estimate_coeffs` on trial i, bitwise."""
     b = (coeffs.shape[-1] - 1) // 2
     est = _grid_to_coeffs(build_dft_matrix(b), _horner_eval(coeffs, b, locations))
-    if not np.all(np.isfinite(est)):
-        raise ValueError("coefficients must be finite")
+    _check_coeffs(est, real_valued=False, bounded=False)
     return est
 
 

@@ -51,22 +51,9 @@ class FourierCoefficients:
             raise ValueError(
                 f"expected {2 * self.b + 1} coefficients for b={self.b}, got shape {c.shape}"
             )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
         if self.n is not None and self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
-        if self.real_valued:
-            asym = _conj_asymmetry(c)
-            if asym > CONJ_SYMMETRY_TOL:
-                raise ValueError(
-                    f"real_valued flag requires conjugate symmetry; residual {asym:.3e}"
-                )
-        if self.bounded:
-            total = float(np.sum(np.abs(c)))
-            if total > 1.0 + BOUNDED_SUM_TOL:
-                raise ValueError(
-                    f"bounded flag requires coefficient magnitudes to sum to <= 1, got {total!r}"
-                )
+        _check_coeffs(c, self.real_valued, self.bounded)
         object.__setattr__(self, "coeffs", _freeze(c))
 
     def to_json_dict(self) -> dict:
@@ -95,8 +82,25 @@ class FourierCoefficients:
 
 
 def _conj_asymmetry(c: np.ndarray) -> float:
-    """Largest deviation of ``c`` from conjugate symmetry ``c[b+k] == conj(c[b-k])``."""
-    return float(np.max(np.abs(c - np.conj(c[::-1]))))
+    """Largest deviation of ``c`` (one vector or a stack) from ``c[b+k] == conj(c[b-k])``."""
+    return float(np.abs(c - c[..., ::-1].conj()).max())
+
+
+def _check_coeffs(c: np.ndarray, real_valued: bool, bounded: bool) -> None:
+    """Raise unless ``c``, one vector or a ``(T, 2b+1)`` stack, is finite and, in every
+    row, conjugate symmetric and of magnitude sum at most one as declared."""
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    if real_valued:
+        asym = _conj_asymmetry(c)
+        if asym > CONJ_SYMMETRY_TOL:
+            raise ValueError(f"real_valued flag requires conjugate symmetry; residual {asym:.3e}")
+    if bounded:
+        total = float(np.abs(c).sum(axis=-1).max())
+        if total > 1.0 + BOUNDED_SUM_TOL:
+            raise ValueError(
+                f"bounded flag requires coefficient magnitudes to sum to <= 1, got {total!r}"
+            )
 
 
 @functools.lru_cache(maxsize=16)
@@ -181,36 +185,50 @@ def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
     return FourierCoefficients(b=b, coeffs=_grid_to_coeffs(build_dft_matrix(b), g))
 
 
+def _field_draws(b: int, rng: np.random.Generator, real_valued: bool = True) -> tuple:
+    """The generator calls of one `random_field`, in order: magnitudes, phases and, for a
+    real field, the uniform that picks the sign of the centre term."""
+    if b < 0:
+        raise ValueError(f"bandwidth index must be >= 0, got {b}")
+    if real_valued:
+        mags = rng.uniform(0.0, 1.0, size=b + 1)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=b)
+        return mags, phases, rng.random()
+    return rng.uniform(0.0, 1.0, size=2 * b + 1), rng.uniform(0.0, 2.0 * np.pi, size=2 * b + 1)
+
+
+def _fields_from_draws(b: int, draws, real_valued: bool = True) -> np.ndarray:
+    """The checked ``(T, 2b+1)`` coefficient stack built from T trials' `_field_draws`."""
+    mags, phases, *sign_u = (np.array(d) for d in zip(*draws))
+    if real_valued:
+        c = np.empty((mags.shape[0], 2 * b + 1), dtype=np.complex128)
+        c[:, b] = np.where(sign_u[0] < 0.5, 1.0, -1.0) * mags[:, 0]
+        c[:, b + 1 :] = mags[:, 1:] * np.exp(1j * phases)
+        c[:, :b] = c[:, : b : -1].conj()
+    else:
+        c = mags * np.exp(1j * phases)
+    total = np.abs(c).sum(axis=1)
+    zero = total == 0.0
+    if zero.any():
+        total[zero] = 1.0
+        c[zero] = 0.0
+        c[zero, b] = 1.0
+    c /= total[:, None]
+    _check_coeffs(c, real_valued, bounded=True)
+    return c
+
+
 def random_field(b: int, rng: np.random.Generator, real_valued: bool = True) -> FourierCoefficients:
     """Draw a random bounded field with coefficient magnitudes summing to one.
 
     Magnitudes and phases are drawn independently and uniformly, conjugate
     symmetry is imposed when ``real_valued`` is set, and the whole vector is
     rescaled so the magnitudes sum to exactly one.  The triangle inequality
-    then keeps the field amplitude within [-1, 1] everywhere.
+    then keeps the field amplitude within [-1, 1] everywhere.  Every magnitude
+    drawn as zero gives the constant field one.  A Monte Carlo cell builds all
+    its trials' fields at once from their `_field_draws`, by the same code.
     """
-    if b < 0:
-        raise ValueError(f"bandwidth index must be >= 0, got {b}")
-    m = 2 * b + 1
-    if real_valued:
-        mags = rng.uniform(0.0, 1.0, size=b + 1)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=b)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        c = np.zeros(m, dtype=np.complex128)
-        c[b] = sign * mags[0]
-        for k in range(1, b + 1):
-            c[b + k] = mags[k] * np.exp(1j * phases[k - 1])
-            c[b - k] = np.conj(c[b + k])
-    else:
-        mags = rng.uniform(0.0, 1.0, size=m)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        c = mags * np.exp(1j * phases)
-    total = float(np.sum(np.abs(c)))
-    if total == 0.0:
-        c = np.zeros(m, dtype=np.complex128)
-        c[b] = 1.0
-    else:
-        c = c / total
+    c = _fields_from_draws(b, [_field_draws(b, rng, real_valued)], real_valued)[0]
     return FourierCoefficients(b=b, coeffs=c, real_valued=real_valued, bounded=True)
 
 

@@ -3,9 +3,10 @@
 Every trial derives its generator from ``SeedSequence((base_seed, b, n, i))``,
 so any cell of any sweep can be reproduced in isolation and the outputs are
 byte-identical at every worker count: workers only compute, and results are
-merged in trial order before any reduction.  A trial keeps only its field and
-the 2b+1 ranked locations of its draw (`quantile_locations`); the estimates of
-a cell's trials are then taken in one batched step (`estimate_at`).
+merged in trial order before any reduction.  A trial keeps only its field's
+raw generator draws and the 2b+1 ranked locations of its deployment
+(`quantile_locations`); the cell then builds and checks all its fields in one
+array step and estimates them in another (`estimate_at`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .ambiguity import AmbiguityReport, ambiguity_demo
 from .asymptotics import clt_empirical_check
 from .estimator import distortion_bound, estimate_at
-from .fields import FourierCoefficients, load_field, random_field
+from .fields import FourierCoefficients, _field_draws, _fields_from_draws, load_field, random_field
 from .io import as_int, read_json, to_json, write_csv_lines, write_json
 from .parallel import trial_map
 from .sampling import deploy, quantile_locations
@@ -149,11 +150,12 @@ def _resolve_field(cfg: ExperimentConfig):
 def _cell_distortions(cfg: ExperimentConfig, b: int, n: int, fixed) -> np.ndarray:
     def one_trial(i):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, b, n, i)))
-        field = fixed if fixed is not None else random_field(b, rng)
-        return field.coeffs, quantile_locations(deploy(n, rng), b)
+        draws = _field_draws(b, rng) if fixed is None else None
+        return draws, quantile_locations(deploy(n, rng), b)
 
-    coeffs, locs = (np.stack(a) for a in zip(*trial_map(one_trial, cfg.trials)))
-    return np.sum(np.abs(estimate_at(coeffs, locs) - coeffs) ** 2, axis=1)
+    draws, locs = zip(*trial_map(one_trial, cfg.trials))
+    coeffs = fixed.coeffs if fixed is not None else _fields_from_draws(b, draws)
+    return np.sum(np.abs(estimate_at(coeffs, np.stack(locs)) - coeffs) ** 2, axis=1)
 
 
 def loglog_slope(n_values, means) -> float:

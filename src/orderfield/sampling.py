@@ -12,6 +12,7 @@ Monte Carlo trials evaluate the field only at the 2b+1 `quantile_locations`.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,14 +101,20 @@ def quantile_indices(n: int, b: int) -> np.ndarray:
 
     Rank ``floor(n*l/(2b+1)) + 1`` for ``l = 0..2b``; integer arithmetic, so
     no float rounding can shift a rank.  Requires ``n >= 2b+1``, which makes
-    the ranks strictly increasing.
+    the ranks strictly increasing.  The array is read-only, cached per
+    ``(n, 2b+1)`` and shared.
     """
     if b < 0:
         raise ValueError(f"bandwidth index must be >= 0, got {b}")
     m = 2 * b + 1
     if n < m:
         raise ValueError(f"need at least {m} samples for bandwidth index {b}, got {n}")
-    return np.array([(n * l) // m + 1 for l in range(m)], dtype=np.int64)
+    return _ranks(n, m)
+
+
+@functools.lru_cache(maxsize=64)
+def _ranks(n: int, m: int) -> np.ndarray:
+    return _freeze(np.array([(n * l) // m + 1 for l in range(m)], dtype=np.int64))
 
 
 def quantile_locations(d: DeploymentDraw, b: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from orderfield import (
     samples_from_coeffs,
     save_field,
 )
+from orderfield.fields import _check_coeffs, _field_draws, _fields_from_draws
 
 
 def naive_eval(coeffs, b, t):
@@ -172,6 +173,92 @@ def test_random_field_constant_case():
     c = random_field(0, np.random.default_rng(3))
     assert c.coeffs.shape == (1,)
     assert abs(abs(c.coeffs[0]) - 1.0) < 1e-12
+
+
+def loop_random_field(b, rng, real_valued=True):
+    """The frequency-by-frequency `random_field` that the stacked assembly replaced,
+    kept verbatim as the oracle for its bytes."""
+    if b < 0:
+        raise ValueError(f"bandwidth index must be >= 0, got {b}")
+    m = 2 * b + 1
+    if real_valued:
+        mags = rng.uniform(0.0, 1.0, size=b + 1)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=b)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        c = np.zeros(m, dtype=np.complex128)
+        c[b] = sign * mags[0]
+        for k in range(1, b + 1):
+            c[b + k] = mags[k] * np.exp(1j * phases[k - 1])
+            c[b - k] = np.conj(c[b + k])
+    else:
+        mags = rng.uniform(0.0, 1.0, size=m)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
+        c = mags * np.exp(1j * phases)
+    total = float(np.sum(np.abs(c)))
+    if total == 0.0:
+        c = np.zeros(m, dtype=np.complex128)
+        c[b] = 1.0
+    else:
+        c = c / total
+    return FourierCoefficients(b=b, coeffs=c, real_valued=real_valued, bounded=True)
+
+
+@pytest.mark.parametrize("real_valued", [True, False])
+@pytest.mark.parametrize("b", [0, 1, 2, 4, 7, 8, 16])
+def test_random_field_and_stacked_fields_equal_the_loop_bitwise(b, real_valued):
+    # from b = 4 on, 2b+1 >= 9 magnitudes and numpy sums them pairwise, unrolled
+    seeds = range(200)
+    loop = np.stack([loop_random_field(b, np.random.default_rng(s), real_valued).coeffs
+                     for s in seeds])
+    one_by_one = np.stack([random_field(b, np.random.default_rng(s), real_valued).coeffs
+                           for s in seeds])
+    stacked = _fields_from_draws(
+        b, [_field_draws(b, np.random.default_rng(s), real_valued) for s in seeds], real_valued
+    )
+    assert one_by_one.tobytes() == loop.tobytes()
+    assert stacked.tobytes() == loop.tobytes()
+    # the draws are the oracle's generator calls: both leave the generator in one state
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    loop_random_field(b, rng_a, real_valued)
+    _field_draws(b, rng_b, real_valued)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("real_valued", [True, False])
+def test_stacked_fields_with_all_zero_magnitudes_are_the_unit_centre_field(real_valued):
+    b = 2
+    m = 2 * b + 1
+    zero = (np.zeros(b + 1), np.ones(b), 0.9) if real_valued else (np.zeros(m), np.ones(m))
+    live = _field_draws(b, np.random.default_rng(5), real_valued)
+    c = _fields_from_draws(b, [zero, live, zero], real_valued)
+    unit = np.eye(m, dtype=np.complex128)[b]
+    assert c[0].tobytes() == c[2].tobytes() == unit.tobytes()
+    expected = loop_random_field(b, np.random.default_rng(5), real_valued).coeffs
+    assert c[1].tobytes() == expected.tobytes()
+
+
+def test_stacked_fields_reject_a_non_finite_draw():
+    live = _field_draws(1, np.random.default_rng(0))
+    nan_draw = (np.array([0.5, np.nan]), np.array([0.3]), 0.2)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            _fields_from_draws(1, [live, nan_draw, live])
+
+
+def test_stacked_check_rejects_each_bad_row_as_the_coefficient_type_does():
+    good = np.array([0.25, 0.5, 0.25], dtype=np.complex128)
+    for row, flags, message in [
+        ([0.25, np.nan, 0.25], (False, False), "coefficients must be finite"),
+        ([0.1j, 0.3, 0.2j], (True, False), "real_valued flag requires conjugate symmetry"),
+        ([0.5, 0.5, 0.5], (False, True), "bounded flag requires coefficient magnitudes"),
+    ]:
+        bad = np.array(row, dtype=np.complex128)
+        with pytest.raises(ValueError, match=message):
+            FourierCoefficients(b=1, coeffs=bad, real_valued=flags[0], bounded=flags[1])
+        for stack in (np.stack([bad, good, good]), np.stack([good, good, bad])):
+            with pytest.raises(ValueError, match=message):
+                _check_coeffs(stack, *flags)
+    _check_coeffs(np.stack([good, good]), True, True)
 
 
 def test_json_roundtrip_exact(rng):

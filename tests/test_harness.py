@@ -133,9 +133,10 @@ def _full_path_distortions(cfg, b, n, fixed):
     return np.array(out)
 
 
-@pytest.mark.parametrize("b", [0, 1, 3])
+@pytest.mark.parametrize("b", [0, 1, 3, 4, 8])
 @pytest.mark.parametrize("fixed_field", [False, True])
 def test_rank_only_trials_equal_the_full_path(b, fixed_field):
+    # from b = 4 on, 2b+1 >= 9 and numpy sums the field magnitudes pairwise, unrolled
     fixed = None
     if fixed_field:
         fixed = random_field(b, np.random.default_rng(40 + b), real_valued=False)

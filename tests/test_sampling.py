@@ -91,6 +91,18 @@ def test_quantile_indices_small_cases():
     npt.assert_array_equal(quantile_indices(5, 0), [1])
 
 
+def test_quantile_indices_are_cached_read_only_and_exact():
+    for b in (0, 1, 2, 4, 8, 16):
+        m = 2 * b + 1
+        for n in (m, m + 1, 50, 333, 1000, 10**5, 10**9 + 7):
+            ranks = quantile_indices(n, b)
+            assert not ranks.flags.writeable
+            assert quantile_indices(n, b) is ranks
+            assert ranks.tolist() == [(n * l) // m + 1 for l in range(m)]
+    with pytest.raises(ValueError):
+        quantile_indices(100, 2)[0] = 5
+
+
 def test_quantile_indices_track_grid_levels():
     # rank_l / n stays within 1/n of the level l/(2b+1), and ranks increase
     for b in (1, 2, 5):

@@ -21,13 +21,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+FIELD = os.path.join("fld", "field.json")
+
 CONFIGS = {
     "cfg.json": dict(b_list=[1], n_list=[101, 301], trials=8, base_seed=3),
     "cfg2.json": dict(b_list=[1], n_list=[64], trials=12, base_seed=4),
     "cfg_b012.json": dict(b_list=[0, 1, 2], n_list=[25, 60], trials=10, base_seed=5),
+    "cfg_b48.json": dict(b_list=[4, 8], n_list=[17, 40, 120], trials=12, base_seed=6),
+    "cfg_fixed.json": dict(b_list=[3], n_list=[7, 90], trials=12, base_seed=8, field_source=FIELD),
 }
-
-FIELD = os.path.join("fld", "field.json")
 
 COMMANDS = [
     # the determinism suite of tests/test_acceptance.py (acceptance 9)
@@ -49,6 +51,15 @@ COMMANDS = [
      "--seed", "3"),
     ("ambiguity-demo", "--field", FIELD, "--theta", "0.45", "--n", "300", "--grid", "1024",
      "--seed", "4", "--out", "amb_field"),
+    # from b = 4 on, numpy sums the 2b+1 >= 9 field magnitudes pairwise, unrolled
+    ("mse-sweep", "--config", "cfg_b48.json", "--out", "sweep48"),
+    # one saved field shared by every trial of a sweep
+    ("mse-sweep", "--config", "cfg_fixed.json", "--out", "sweep_fixed"),
+    # shifts by more than a period, applied as given
+    ("ambiguity-demo", "--b", "2", "--theta", "1.3", "--n", "200", "--grid", "512",
+     "--seed", "6"),
+    ("ambiguity-demo", "--field", FIELD, "--theta", "-2.4", "--n", "200", "--grid", "512",
+     "--seed", "7", "--out", "amb_neg"),
 ]
 
 
