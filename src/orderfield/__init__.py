@@ -21,7 +21,6 @@ from .sampling import (
     quantile_indices,
     quantile_locations,
     save_samples,
-    sorted_locations,
 )
 from .estimator import distortion, distortion_bound, estimate_at, estimate_coeffs
 from .asymptotics import (

@@ -67,10 +67,7 @@ def shift_field(c: FourierCoefficients, theta: float) -> FourierCoefficients:
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     k = np.arange(-c.b, c.b + 1)
-    shifted = c.coeffs * np.exp(-2j * np.pi * k * float(theta))
-    return FourierCoefficients(
-        b=c.b, coeffs=shifted, real_valued=c.real_valued, bounded=c.bounded
-    )
+    return FourierCoefficients(c.coeffs * np.exp(-2j * np.pi * k * float(theta)))
 
 
 def shift_distortion(c: FourierCoefficients, theta: float) -> float:

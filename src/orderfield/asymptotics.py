@@ -19,7 +19,8 @@ import numpy as np
 
 from .estimator import estimate_at
 from .fields import (
-    FourierCoefficients, build_dft_matrix, eval_derivative, eval_field, _freeze, _horner_eval
+    FourierCoefficients, build_dft_matrix, eval_derivative, eval_field, _check_bandwidth,
+    _freeze, _horner_eval,
 )
 from .io import to_json
 from .parallel import trial_map
@@ -35,8 +36,7 @@ def quantile_covariance(b: int) -> np.ndarray:
     ``p_l = l/(2b+1)``; symmetric, and identically zero in the first row and
     column because the lowest level is zero.
     """
-    if b < 0:
-        raise ValueError(f"bandwidth index must be >= 0, got {b}")
+    _check_bandwidth(b)
     p = np.arange(2 * b + 1) / (2 * b + 1)
     return np.minimum.outer(p, p) * (1.0 - np.maximum.outer(p, p))
 

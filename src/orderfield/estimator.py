@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (
-    CONJ_SYMMETRY_TOL,
     FourierCoefficients,
     build_dft_matrix,
+    _check_bandwidth,
     _check_coeffs,
-    _conj_asymmetry,
     _grid_to_coeffs,
     _horner_eval,
 )
@@ -26,17 +25,14 @@ from .sampling import SampleSet, extract_quantile_samples, quantile_indices
 def estimate_coeffs(s: SampleSet, b: int) -> FourierCoefficients:
     """Estimate the 2b+1 coefficients from an ordered sample set.
 
-    Applies the inverse grid transform to the values at the quantile ranks
-    and marks the estimate real-valued when its coefficients are conjugate
-    symmetric within `CONJ_SYMMETRY_TOL`.  Refuses ``n < 2b+1`` since fewer
-    samples cannot supply distinct ranks.  For a bounded source field every
-    coefficient has magnitude at most one, by the triangle inequality.
+    Applies the inverse grid transform to the values at the quantile ranks.
+    Refuses ``n < 2b+1`` since fewer samples cannot supply distinct ranks.
+    For a bounded source field every coefficient has magnitude at most one,
+    by the triangle inequality.
     """
     ranks = quantile_indices(s.n, b)
     g = extract_quantile_samples(s, ranks)
-    coeffs = _grid_to_coeffs(build_dft_matrix(b), g)
-    real = _conj_asymmetry(coeffs) <= CONJ_SYMMETRY_TOL
-    return FourierCoefficients(b=b, coeffs=coeffs, real_valued=real, n=s.n)
+    return FourierCoefficients(_grid_to_coeffs(build_dft_matrix(b), g), n=s.n)
 
 
 def estimate_at(coeffs: np.ndarray, locations: np.ndarray) -> np.ndarray:
@@ -44,7 +40,7 @@ def estimate_at(coeffs: np.ndarray, locations: np.ndarray) -> np.ndarray:
     field's ``coeffs`` or a stack of them; row i equals `estimate_coeffs` on trial i, bitwise."""
     b = (coeffs.shape[-1] - 1) // 2
     est = _grid_to_coeffs(build_dft_matrix(b), _horner_eval(coeffs, b, locations))
-    _check_coeffs(est, real_valued=False, bounded=False)
+    _check_coeffs(est)
     return est
 
 
@@ -62,6 +58,5 @@ def distortion(e: FourierCoefficients, truth: FourierCoefficients) -> float:
 
 def distortion_bound(b: int) -> float:
     """Asymptotic bound on n times the expected distortion: pi^2 b^2 (2b+1)."""
-    if b < 0:
-        raise ValueError(f"bandwidth index must be >= 0, got {b}")
+    _check_bandwidth(b)
     return np.pi**2 * b**2 * (2 * b + 1)

@@ -9,7 +9,7 @@ coefficient/sample transforms are exact linear algebra on that vector.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .io import as_int, pairs_from_json, pairs_to_json, read_json, write_json
 
 CONJ_SYMMETRY_TOL = 1e-12
 BOUNDED_SUM_TOL = 1e-12
+MAX_BANDWIDTH = 1024
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -24,37 +25,43 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_bandwidth(b: int) -> None:
+    """Raise unless ``0 <= b <= MAX_BANDWIDTH``; at the cap the grid matrix takes 67 MB."""
+    if b < 0:
+        raise ValueError(f"bandwidth index must be >= 0, got {b}")
+    if b > MAX_BANDWIDTH:
+        raise ValueError(f"bandwidth index must be <= {MAX_BANDWIDTH}, got {b}")
+
+
 @dataclass(frozen=True, eq=False)
 class FourierCoefficients:
     """Complex Fourier coefficients of a periodic bandlimited field.
 
-    ``coeffs[i]`` is the coefficient of ``exp(2j*pi*k*t)`` with
-    ``k = i - b``.  ``real_valued`` declares conjugate symmetry
-    (``coeffs[b+k] == conj(coeffs[b-k])``) and ``bounded`` declares that the
-    coefficient magnitudes sum to at most one, which forces the field
-    amplitude to stay within [-1, 1].  Both declarations are verified at
-    construction time.  An estimate also records the sample count ``n`` it
-    was computed from; a field that was not estimated has ``n = None``.
+    ``coeffs[i]``, one of an odd number of finite values, is the coefficient
+    of ``exp(2j*pi*k*t)`` with ``k = i - b``.  ``b``, ``real_valued``
+    (``coeffs[b+k] == conj(coeffs[b-k])``) and ``bounded`` (magnitudes summing
+    to at most one, so the amplitude stays within [-1, 1]) are read off the
+    coefficients.  An estimate also records the sample count ``n`` it was
+    computed from; a field that was not estimated has ``n = None``.
     """
 
-    b: int
     coeffs: np.ndarray
-    real_valued: bool = False
-    bounded: bool = False
     n: int | None = None
+    b: int = field(init=False)
+    real_valued: bool = field(init=False)
+    bounded: bool = field(init=False)
 
     def __post_init__(self):
-        if self.b < 0:
-            raise ValueError(f"bandwidth index must be >= 0, got {self.b}")
         c = np.asarray(self.coeffs, dtype=np.complex128).copy()
-        if c.ndim != 1 or c.size != 2 * self.b + 1:
-            raise ValueError(
-                f"expected {2 * self.b + 1} coefficients for b={self.b}, got shape {c.shape}"
-            )
+        if c.ndim != 1 or c.size % 2 != 1:
+            raise ValueError(f"expected an odd number of coefficients, got shape {c.shape}")
         if self.n is not None and self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
-        _check_coeffs(c, self.real_valued, self.bounded)
+        real_valued, bounded = _check_coeffs(c)
         object.__setattr__(self, "coeffs", _freeze(c))
+        object.__setattr__(self, "b", (c.size - 1) // 2)
+        object.__setattr__(self, "real_valued", real_valued)
+        object.__setattr__(self, "bounded", bounded)
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -68,6 +75,7 @@ class FourierCoefficients:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FourierCoefficients":
+        """`to_json_dict` output, checking its ``b`` and a ``real_valued: true`` claim."""
         try:
             b = as_int(doc["b"], "b")
             real_valued = doc["real_valued"]
@@ -77,30 +85,29 @@ class FourierCoefficients:
             n = None if doc.get("n") is None else as_int(doc["n"], "n")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed coefficient document: {exc}") from exc
-        bounded = bool(np.sum(np.abs(c)) <= 1.0 + BOUNDED_SUM_TOL)
-        return cls(b=b, coeffs=c, real_valued=real_valued, bounded=bounded, n=n)
+        _check_bandwidth(b)
+        if c.size != 2 * b + 1:
+            raise ValueError(f"expected {2 * b + 1} coefficients for b={b}, got shape {c.shape}")
+        _check_coeffs(c, real_valued)
+        return cls(c, n=n)
 
 
-def _conj_asymmetry(c: np.ndarray) -> float:
-    """Largest deviation of ``c`` (one vector or a stack) from ``c[b+k] == conj(c[b-k])``."""
-    return float(np.abs(c - c[..., ::-1].conj()).max())
-
-
-def _check_coeffs(c: np.ndarray, real_valued: bool, bounded: bool) -> None:
-    """Raise unless ``c``, one vector or a ``(T, 2b+1)`` stack, is finite and, in every
-    row, conjugate symmetric and of magnitude sum at most one as declared."""
+def _check_coeffs(c: np.ndarray, real_valued: bool = False, bounded: bool = False) -> tuple:
+    """Whether ``c``, one vector or every row of a ``(T, 2b+1)`` stack, is conjugate
+    symmetric (``c[b+k] == conj(c[b-k])``) and of magnitude sum at most one; raises
+    unless it is finite and, when asked for, each of these."""
     if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
-    if real_valued:
-        asym = _conj_asymmetry(c)
-        if asym > CONJ_SYMMETRY_TOL:
-            raise ValueError(f"real_valued flag requires conjugate symmetry; residual {asym:.3e}")
-    if bounded:
-        total = float(np.abs(c).sum(axis=-1).max())
-        if total > 1.0 + BOUNDED_SUM_TOL:
-            raise ValueError(
-                f"bounded flag requires coefficient magnitudes to sum to <= 1, got {total!r}"
-            )
+    asym = float(np.abs(c - c[..., ::-1].conj()).max())
+    total = float(np.abs(c).sum(axis=-1).max())
+    real, unit = asym <= CONJ_SYMMETRY_TOL, total <= 1.0 + BOUNDED_SUM_TOL
+    if real_valued and not real:
+        raise ValueError(f"real_valued flag requires conjugate symmetry; residual {asym:.3e}")
+    if bounded and not unit:
+        raise ValueError(
+            f"bounded flag requires coefficient magnitudes to sum to <= 1, got {total!r}"
+        )
+    return real, unit
 
 
 @functools.lru_cache(maxsize=16)
@@ -119,8 +126,7 @@ def build_dft_matrix(b: int) -> np.ndarray:
     norm 2b+1, so the inverse is the scaled conjugate transpose
     (`_grid_to_coeffs`).  Matrices are cached per ``b`` and shared.
     """
-    if b < 0:
-        raise ValueError(f"bandwidth index must be >= 0, got {b}")
+    _check_bandwidth(b)
     return _dft_matrix(b)
 
 
@@ -182,14 +188,13 @@ def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
     if g.ndim != 1 or g.size % 2 != 1:
         raise ValueError(f"expected an odd-length sample vector, got shape {g.shape}")
     b = (g.size - 1) // 2
-    return FourierCoefficients(b=b, coeffs=_grid_to_coeffs(build_dft_matrix(b), g))
+    return FourierCoefficients(_grid_to_coeffs(build_dft_matrix(b), g))
 
 
 def _field_draws(b: int, rng: np.random.Generator, real_valued: bool = True) -> tuple:
     """The generator calls of one `random_field`, in order: magnitudes, phases and, for a
     real field, the uniform that picks the sign of the centre term."""
-    if b < 0:
-        raise ValueError(f"bandwidth index must be >= 0, got {b}")
+    _check_bandwidth(b)
     if real_valued:
         mags = rng.uniform(0.0, 1.0, size=b + 1)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=b)
@@ -229,7 +234,7 @@ def random_field(b: int, rng: np.random.Generator, real_valued: bool = True) -> 
     its trials' fields at once from their `_field_draws`, by the same code.
     """
     c = _fields_from_draws(b, [_field_draws(b, rng, real_valued)], real_valued)[0]
-    return FourierCoefficients(b=b, coeffs=c, real_valued=real_valued, bounded=True)
+    return FourierCoefficients(c)
 
 
 def save_field(c: FourierCoefficients, path) -> None:

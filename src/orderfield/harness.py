@@ -11,6 +11,7 @@ array step and estimates them in another (`estimate_at`).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -20,15 +21,15 @@ import numpy as np
 from .ambiguity import AmbiguityReport, ambiguity_demo
 from .asymptotics import clt_empirical_check
 from .estimator import distortion_bound, estimate_at
-from .fields import FourierCoefficients, _field_draws, _fields_from_draws, load_field, random_field
+from .fields import (
+    FourierCoefficients, _check_bandwidth, _field_draws, _fields_from_draws, load_field,
+    random_field,
+)
 from .io import as_int, read_json, to_json, write_csv_lines, write_json
 from .parallel import trial_map
 from .sampling import deploy, quantile_locations
 
 MAX_SEED = 2**64
-
-_CONFIG_REQUIRED = ("b_list", "n_list", "trials", "base_seed")
-_CONFIG_OPTIONAL = ("field_source", "output_dir")
 
 SWEEP_CSV_HEADER = "b,n,trials,mean_distortion,stderr,n_times_mse,bound"
 
@@ -60,8 +61,8 @@ class ExperimentConfig:
             raise ValueError("b_list entries must be unique")
         if len(set(n_list)) != len(n_list):
             raise ValueError("n_list entries must be unique")
-        if min(b_list) < 0:
-            raise ValueError("bandwidth indices must be >= 0")
+        for b in b_list:
+            _check_bandwidth(b)
         needed = 2 * max(b_list) + 1
         if min(n_list) < needed:
             raise ValueError(
@@ -86,14 +87,14 @@ class ExperimentConfig:
     def from_json_dict(cls, d):
         if not isinstance(d, dict):
             raise ValueError("config must be a JSON object")
-        unknown = sorted(set(d) - set(_CONFIG_REQUIRED) - set(_CONFIG_OPTIONAL))
+        keys = dataclasses.fields(cls)
+        unknown = sorted(set(d) - {f.name for f in keys})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        missing = sorted(set(_CONFIG_REQUIRED) - set(d))
+        missing = sorted({f.name for f in keys if f.default is dataclasses.MISSING} - set(d))
         if missing:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
-        kwargs = {k: d[k] for k in d}
-        return cls(**kwargs)
+        return cls(**d)
 
 
 def load_config(path) -> ExperimentConfig:

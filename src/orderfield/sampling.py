@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FourierCoefficients, eval_field, _freeze
+from .fields import FourierCoefficients, eval_field, _check_bandwidth, _freeze
 from .io import as_int, read_json, write_json
 
 
@@ -85,11 +85,6 @@ def deploy(n: int, rng: np.random.Generator, seed_label: str = "") -> Deployment
     return DeploymentDraw._adopt(rng.random(n), seed_label)
 
 
-def sorted_locations(d: DeploymentDraw) -> np.ndarray:
-    """Hidden locations in increasing order (simulation-side only)."""
-    return d.locations
-
-
 def observe(field: FourierCoefficients, d: DeploymentDraw) -> SampleSet:
     """Evaluate the field at the sorted locations and drop the locations."""
     values = eval_field(field, d.locations)
@@ -104,8 +99,7 @@ def quantile_indices(n: int, b: int) -> np.ndarray:
     the ranks strictly increasing.  The array is read-only, cached per
     ``(n, 2b+1)`` and shared.
     """
-    if b < 0:
-        raise ValueError(f"bandwidth index must be >= 0, got {b}")
+    _check_bandwidth(b)
     m = 2 * b + 1
     if n < m:
         raise ValueError(f"need at least {m} samples for bandwidth index {b}, got {n}")

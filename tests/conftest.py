@@ -11,12 +11,7 @@ from orderfield import FourierCoefficients
 @pytest.fixture(scope="session")
 def cosine_field():
     """The field 0.5 + 0.5*cos(2*pi*t): bandwidth 1, coefficients (1/4, 1/2, 1/4)."""
-    return FourierCoefficients(
-        b=1,
-        coeffs=np.array([0.25, 0.5, 0.25], dtype=np.complex128),
-        real_valued=True,
-        bounded=True,
-    )
+    return FourierCoefficients(np.array([0.25, 0.5, 0.25], dtype=np.complex128))
 
 
 @pytest.fixture

@@ -143,7 +143,7 @@ def test_demo_report_json(cosine_field, rng):
 
 def test_demo_thresholds_cover_unbounded_fields(rng):
     # 1 + cos(2 pi t) takes values in [0, 2], outside the bounded-field grid
-    field = FourierCoefficients(b=1, coeffs=np.array([0.5, 1.0, 0.5]), real_valued=True)
+    field = FourierCoefficients(np.array([0.5, 1.0, 0.5]))
     assert not field.bounded
     report = ambiguity_demo(field, 0.25, 512, 2048, rng)
     npt.assert_array_equal(report.thresholds, 2.0 * default_threshold_grid())

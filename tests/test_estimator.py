@@ -29,9 +29,9 @@ def test_estimator_is_exact_on_grid_values(cosine_field):
     est = estimate_coeffs(s, 1)
     npt.assert_allclose(est.coeffs, cosine_field.coeffs, atol=1e-12)
     assert distortion(est, cosine_field) < 1e-24
-    assert est.real_valued and est.n == 3
+    assert est.real_valued and est.bounded and est.n == 3
     # imaginary noise above the conjugate-symmetry tolerance clears the real
-    # flag rather than failing the estimate's own symmetry check
+    # flag, which the estimate reads off its coefficients
     noisy = SampleSet(values=samples_from_coeffs(cosine_field) + 1e-10j)
     est = estimate_coeffs(noisy, 1)
     assert not est.real_valued
@@ -89,7 +89,7 @@ def test_estimate_at_rejects_non_finite_estimates(cosine_field):
 
 
 def test_distortion_is_squared_coefficient_distance(cosine_field):
-    est = FourierCoefficients(b=1, coeffs=cosine_field.coeffs + np.array([0.1, 0, -0.2j]), n=10)
+    est = FourierCoefficients(cosine_field.coeffs + np.array([0.1, 0, -0.2j]), n=10)
     npt.assert_allclose(distortion(est, cosine_field), 0.1**2 + 0.2**2, atol=1e-15)
 
 
@@ -106,7 +106,7 @@ def test_distortion_equals_field_space_error(rng):
 
 
 def test_distortion_rejects_bandwidth_mismatch(cosine_field):
-    est = FourierCoefficients(b=2, coeffs=np.zeros(5, dtype=complex), n=10)
+    est = FourierCoefficients(np.zeros(5, dtype=complex), n=10)
     with pytest.raises(ValueError):
         distortion(est, cosine_field)
 
@@ -125,9 +125,9 @@ def test_distortion_bound_formula():
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        FourierCoefficients(b=1, coeffs=np.zeros(2, dtype=complex), n=10)
+        FourierCoefficients(np.zeros(2, dtype=complex), n=10)
     with pytest.raises(ValueError):
-        FourierCoefficients(b=1, coeffs=np.zeros(3, dtype=complex), n=0)
+        FourierCoefficients(np.zeros(3, dtype=complex), n=0)
 
 
 def test_estimate_file_roundtrip(tmp_path, rng):

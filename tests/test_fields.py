@@ -15,7 +15,7 @@ from orderfield import (
     samples_from_coeffs,
     save_field,
 )
-from orderfield.fields import _check_coeffs, _field_draws, _fields_from_draws
+from orderfield.fields import MAX_BANDWIDTH, _check_coeffs, _field_draws, _fields_from_draws
 
 
 def naive_eval(coeffs, b, t):
@@ -26,27 +26,33 @@ def naive_eval(coeffs, b, t):
 
 
 def test_coefficient_vector_length_is_checked():
-    with pytest.raises(ValueError):
-        FourierCoefficients(b=1, coeffs=np.zeros(4, dtype=complex))
-    with pytest.raises(ValueError):
-        FourierCoefficients(b=-1, coeffs=np.zeros(1, dtype=complex))
-    with pytest.raises(ValueError):
-        FourierCoefficients(b=0, coeffs=np.array([np.nan + 0j]))
+    for m in (1, 3, 5, 9):
+        assert FourierCoefficients(np.full(m, 1.0 / m)).b == (m - 1) // 2
+    for bad in (np.zeros(4), np.zeros(0), np.zeros((1, 3)), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match="odd number of coefficients"):
+            FourierCoefficients(bad)
+    with pytest.raises(ValueError, match="finite"):
+        FourierCoefficients(np.array([np.nan + 0j]))
 
 
-def test_real_valued_flag_requires_conjugate_symmetry():
-    ok = FourierCoefficients(
-        b=1, coeffs=np.array([0.1 - 0.2j, 0.3, 0.1 + 0.2j]), real_valued=True
-    )
-    assert ok.real_valued
-    with pytest.raises(ValueError):
-        FourierCoefficients(b=1, coeffs=np.array([0.1j, 0.3, 0.2j]), real_valued=True)
+def test_real_valued_is_read_off_conjugate_symmetry():
+    # the 1e-12 tolerance on the largest |c[b+k] - conj(c[b-k])|, from either side
+    symmetric = np.array([0.1 - 0.2j, 0.3, 0.1 + 0.2j])
+    assert FourierCoefficients(symmetric).real_valued
+    assert FourierCoefficients(symmetric + [0, 0, 0.5e-12]).real_valued
+    assert not FourierCoefficients(symmetric + [0, 0, 2e-12]).real_valued
+    assert FourierCoefficients(np.array([0.3 + 0.4e-12j])).real_valued
+    assert not FourierCoefficients(np.array([0.3 + 1e-12j])).real_valued
+    assert not FourierCoefficients(np.array([0.1j, 0.3, 0.2j])).real_valued
 
 
-def test_bounded_flag_requires_unit_magnitude_sum():
-    FourierCoefficients(b=1, coeffs=np.array([0.25, 0.5, 0.25 + 0j]), bounded=True)
-    with pytest.raises(ValueError):
-        FourierCoefficients(b=1, coeffs=np.array([0.5, 0.5, 0.5 + 0j]), bounded=True)
+def test_bounded_is_read_off_the_magnitude_sum():
+    # the 1 + 1e-12 tolerance on sum |c_k|, from either side
+    unit = np.array([0.25, 0.5, 0.25 + 0j])
+    assert FourierCoefficients(unit).bounded
+    assert FourierCoefficients(unit + [0, 0, 0.5e-12]).bounded
+    assert not FourierCoefficients(unit + [0, 0, 2e-12]).bounded
+    assert not FourierCoefficients(np.array([0.5, 0.5, 0.5 + 0j])).bounded
 
 
 def test_coefficients_are_frozen(cosine_field):
@@ -57,7 +63,7 @@ def test_coefficients_are_frozen(cosine_field):
 def test_eval_matches_naive_sum(rng):
     for b in (0, 1, 3, 5):
         coeffs = rng.normal(size=2 * b + 1) + 1j * rng.normal(size=2 * b + 1)
-        c = FourierCoefficients(b=b, coeffs=coeffs)
+        c = FourierCoefficients(coeffs)
         t = rng.random(40)
         npt.assert_allclose(eval_field(c, t), naive_eval(coeffs, b, t), atol=1e-12)
 
@@ -79,7 +85,7 @@ def test_eval_cosine_closed_form(cosine_field):
 def test_derivative_matches_naive_sum(rng):
     for b in (1, 2, 4):
         coeffs = rng.normal(size=2 * b + 1) + 1j * rng.normal(size=2 * b + 1)
-        c = FourierCoefficients(b=b, coeffs=coeffs)
+        c = FourierCoefficients(coeffs)
         ks = np.arange(-b, b + 1)
         t = rng.random(25)
         expected = naive_eval(coeffs * 2j * np.pi * ks, b, t)
@@ -134,7 +140,7 @@ def test_grid_samples_match_field_values(cosine_field):
 def test_coeff_sample_roundtrip(rng):
     for b in (0, 1, 4, 8):
         coeffs = rng.normal(size=2 * b + 1) + 1j * rng.normal(size=2 * b + 1)
-        c = FourierCoefficients(b=b, coeffs=coeffs)
+        c = FourierCoefficients(coeffs)
         back = coeffs_from_samples(samples_from_coeffs(c))
         assert back.b == b
         npt.assert_allclose(back.coeffs, coeffs, atol=1e-10)
@@ -200,7 +206,7 @@ def loop_random_field(b, rng, real_valued=True):
         c[b] = 1.0
     else:
         c = c / total
-    return FourierCoefficients(b=b, coeffs=c, real_valued=real_valued, bounded=True)
+    return FourierCoefficients(c)
 
 
 @pytest.mark.parametrize("real_valued", [True, False])
@@ -253,8 +259,13 @@ def test_stacked_check_rejects_each_bad_row_as_the_coefficient_type_does():
         ([0.5, 0.5, 0.5], (False, True), "bounded flag requires coefficient magnitudes"),
     ]:
         bad = np.array(row, dtype=np.complex128)
-        with pytest.raises(ValueError, match=message):
-            FourierCoefficients(b=1, coeffs=bad, real_valued=flags[0], bounded=flags[1])
+        if flags == (False, False):
+            with pytest.raises(ValueError, match=message):
+                FourierCoefficients(bad)
+        else:
+            # the stack check rejects a row exactly where the type clears the flag
+            c = FourierCoefficients(bad)
+            assert (c.real_valued, c.bounded) == (not flags[0], not flags[1])
         for stack in (np.stack([bad, good, good]), np.stack([good, good, bad])):
             with pytest.raises(ValueError, match=message):
                 _check_coeffs(stack, *flags)
@@ -292,7 +303,35 @@ def test_from_json_dict_rejects_malformed():
             )
 
 
+def test_from_json_dict_checks_the_document_b_and_real_valued_claim():
+    symmetric = [[0.25, -0.1], [0.5, 0.0], [0.25, 0.1]]
+    asymmetric = [[0.0, 0.1], [0.3, 0.0], [0.0, 0.2]]
+    with pytest.raises(ValueError, match="real_valued flag requires conjugate symmetry"):
+        FourierCoefficients.from_json_dict({"b": 1, "real_valued": True, "coeffs": asymmetric})
+    for b in (0, 2):
+        with pytest.raises(ValueError, match=f"expected {2 * b + 1} coefficients for b={b}"):
+            FourierCoefficients.from_json_dict({"b": b, "real_valued": True, "coeffs": symmetric})
+    with pytest.raises(ValueError, match=f"must be <= {MAX_BANDWIDTH}"):
+        FourierCoefficients.from_json_dict(
+            {"b": MAX_BANDWIDTH + 1, "real_valued": True, "coeffs": symmetric}
+        )
+    # a false claim is not checked: the flag is read off the coefficients
+    c = FourierCoefficients.from_json_dict({"b": 1, "real_valued": False, "coeffs": symmetric})
+    assert c.real_valued and c.to_json_dict()["real_valued"] is True
+    c = FourierCoefficients.from_json_dict({"b": 1, "real_valued": False, "coeffs": asymmetric})
+    assert not c.real_valued
+
+
+def test_bandwidth_is_capped(rng):
+    assert random_field(MAX_BANDWIDTH, rng).b == MAX_BANDWIDTH
+    for check in (build_dft_matrix, lambda b: _field_draws(b, rng), lambda b: random_field(b, rng)):
+        with pytest.raises(ValueError, match=f"bandwidth index must be <= {MAX_BANDWIDTH}, got"):
+            check(MAX_BANDWIDTH + 1)
+        with pytest.raises(ValueError, match="bandwidth index must be >= 0, got -1"):
+            check(-1)
+
+
 def test_unbounded_field_loads_unbounded():
-    c = FourierCoefficients(b=0, coeffs=np.array([2.0 + 0j]))
+    c = FourierCoefficients(np.array([2.0 + 0j]))
     back = FourierCoefficients.from_json_dict(c.to_json_dict())
     assert not back.bounded

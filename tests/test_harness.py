@@ -22,7 +22,8 @@ from orderfield import (
     run_mse_sweep,
     save_field,
 )
-from orderfield.fields import FourierCoefficients
+from orderfield import cli
+from orderfield.fields import MAX_BANDWIDTH, FourierCoefficients
 from orderfield.harness import SWEEP_CSV_HEADER, _cell_distortions
 
 
@@ -328,6 +329,28 @@ def test_cli_rejects_non_finite_theta_and_out_of_range_seeds(tmp_path, run_cli):
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("orderfield: error:"), r.stderr
         assert message in lines[0], r.stderr
+
+
+def test_cli_rejects_bandwidths_above_the_cap(tmp_path, capsys, cosine_field):
+    # in-process: each command exits 2 before building anything of size 2b+1
+    field_path = tmp_path / "field.json"
+    save_field(cosine_field, field_path)
+    big = str(MAX_BANDWIDTH + 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(b_list=[int(big)], n_list=[50], trials=2, base_seed=1)))
+    for args in [
+        ("gen-field", "--b", big),
+        ("estimate", "--field", str(field_path), "--n", "50", "--b", big),
+        ("mse-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")),
+        ("clt-check", "--config", str(cfg), "--out", str(tmp_path / "o")),
+    ]:
+        assert cli.main(list(args)) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "", args
+        assert err.splitlines() == [
+            f"orderfield: error: bandwidth index must be <= {MAX_BANDWIDTH}, got {big}"
+        ], args
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_gen_field_prints_valid_document(tmp_path, run_cli):

@@ -13,7 +13,6 @@ from orderfield import (
     quantile_locations,
     random_field,
     save_samples,
-    sorted_locations,
 )
 from orderfield.fields import eval_field
 
@@ -64,11 +63,10 @@ def test_draw_sorts_a_private_copy_of_the_callers_array():
     assert DeploymentDraw(locations=[0.5, 0.25]).locations.tolist() == [0.25, 0.5]
 
 
-def test_sorted_locations_sorts_without_mutating(rng):
+def test_deploy_keeps_its_locations_sorted(rng):
     d = deploy(50, rng)
-    srt = sorted_locations(d)
-    assert np.all(np.diff(srt) >= 0)
-    npt.assert_array_equal(np.sort(d.locations), srt)
+    assert np.all(np.diff(d.locations) >= 0)
+    npt.assert_array_equal(np.sort(d.locations), d.locations)
 
 
 def test_observe_evaluates_at_sorted_locations(rng, cosine_field):
@@ -76,7 +74,7 @@ def test_observe_evaluates_at_sorted_locations(rng, cosine_field):
     s = observe(cosine_field, d)
     assert s.n == 64
     assert s.b_source == 1
-    npt.assert_allclose(s.values, eval_field(cosine_field, sorted_locations(d)), atol=1e-12)
+    npt.assert_allclose(s.values, eval_field(cosine_field, d.locations), atol=1e-12)
 
 
 def test_sample_set_validates_length():
@@ -137,7 +135,7 @@ def test_quantile_locations_read_the_sorted_draw_at_the_ranks(rng):
         d = deploy(n, rng)
         before = d.locations.copy()
         q = quantile_locations(d, b)
-        npt.assert_array_equal(q, sorted_locations(d)[quantile_indices(n, b) - 1])
+        npt.assert_array_equal(q, d.locations[quantile_indices(n, b) - 1])
         npt.assert_array_equal(d.locations, before)
     with pytest.raises(ValueError):
         quantile_locations(deploy(4, rng), 2)

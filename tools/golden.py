@@ -3,10 +3,11 @@
 
     python3 tools/golden.py SRC_DIR OUT_DIR
 
-Runs each command below as ``python -m orderfield`` with the absolute
-``SRC_DIR`` first on ``PYTHONPATH`` and ``OUT_DIR`` (created, must be empty)
-as the working directory, then prints one ``sha256  name`` line for every
-command's stdout and exit code and for every file left in ``OUT_DIR``.  A
+Writes the configs and field files below into ``OUT_DIR`` (created, must be
+empty), runs each command below there as ``python -m orderfield`` with the
+absolute ``SRC_DIR`` first on ``PYTHONPATH``, then prints one ``sha256  name``
+line for every command's stdout and exit code and for every file left in
+``OUT_DIR``.  A
 refactor that must not change behaviour runs this on a checkout of the
 parent commit and on the change and diffs the two listings.  The digests
 can differ between CPUs or numpy builds, so compare runs from one machine.
@@ -29,6 +30,16 @@ CONFIGS = {
     "cfg_b012.json": dict(b_list=[0, 1, 2], n_list=[25, 60], trials=10, base_seed=5),
     "cfg_b48.json": dict(b_list=[4, 8], n_list=[17, 40, 120], trials=12, base_seed=6),
     "cfg_fixed.json": dict(b_list=[3], n_list=[7, 90], trials=12, base_seed=8, field_source=FIELD),
+}
+
+# fields that gen-field does not draw: a complex one, and a real one whose magnitudes sum to 2
+FIELDS = {
+    "field_complex.json": dict(
+        b=1, real_valued=False, coeffs=[[0.2, 0.1], [0.3, 0.0], [-0.1, 0.25]]
+    ),
+    "field_unbounded.json": dict(
+        b=1, real_valued=True, coeffs=[[0.5, 0.0], [1.0, 0.0], [0.5, 0.0]]
+    ),
 }
 
 COMMANDS = [
@@ -60,6 +71,14 @@ COMMANDS = [
      "--seed", "6"),
     ("ambiguity-demo", "--field", FIELD, "--theta", "-2.4", "--n", "200", "--grid", "512",
      "--seed", "7", "--out", "amb_neg"),
+    # a complex field through the full sample and estimate path
+    ("sample", "--field", "field_complex.json", "--n", "40", "--seed", "5", "--out", "smp_complex"),
+    ("estimate", "--field", "field_complex.json", "--n", "300", "--seed", "7"),
+    # an unbounded field widens the threshold grid; a complex field's values are refused (exit 2)
+    ("ambiguity-demo", "--field", "field_unbounded.json", "--theta", "0.3", "--n", "200",
+     "--grid", "512", "--seed", "8", "--out", "amb_unbounded"),
+    ("ambiguity-demo", "--field", "field_complex.json", "--theta", "0.3", "--n", "200",
+     "--grid", "512", "--seed", "8"),
 ]
 
 
@@ -80,8 +99,8 @@ def main(argv=None) -> int:
     if any(out.iterdir()):
         print(f"golden: {out} is not empty", file=sys.stderr)
         return 1
-    for name, cfg in CONFIGS.items():
-        (out / name).write_text(json.dumps(cfg))
+    for name, doc in {**CONFIGS, **FIELDS}.items():
+        (out / name).write_text(json.dumps(doc))
     env = dict(os.environ)
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(src) + (os.pathsep + rest if rest else "")
