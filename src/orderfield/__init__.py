@@ -20,6 +20,7 @@ from .sampling import (
     observe,
     quantile_indices,
     quantile_locations,
+    sample_quantile_locations,
     save_samples,
 )
 from .estimator import distortion, distortion_bound, estimate_at, estimate_coeffs

@@ -7,8 +7,11 @@ the limiting second moments of the coefficient estimate; a complex linear
 map of a real Gaussian needs both the Hermitian covariance E[S S^H] and the
 pseudo-covariance E[S S^T] to pin down the limit.  This module computes all
 of those in closed form, provides the exact finite-n Beta moments of uniform
-order statistics as an oracle, and runs seeded Monte Carlo pipelines to
-compare empirical second moments against the formulas.
+order statistics as an oracle, and runs a seeded Monte Carlo check that
+compares empirical second moments against the formulas.  The check draws
+only the ranked locations the estimator reads, all trials in one
+`sample_quantile_locations` call on the generator it is given: no thread
+pool and no per-trial generators.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from .fields import (
     _freeze, _horner_eval,
 )
 from .io import to_json
-from .parallel import trial_map
-from .sampling import deploy, quantile_indices, quantile_locations
+from .sampling import quantile_indices, sample_quantile_locations
 
 DERIVATIVE_IMAG_TOL = 1e-8
 
@@ -199,11 +201,13 @@ def clt_empirical_check(
 ) -> CltReport:
     """Run independent deploy/estimate pipelines and compare moments.
 
-    Each trial owns a generator spawned from ``rng`` and keeps the ranked
-    locations of a fresh deployment; `estimate_at` estimates all trials at
-    once.  Second moments of the scaled errors are taken about the analytic
-    limits (which are zero-mean), and the quantile comparison drops the
-    degenerate zero-level coordinate that the limit law excludes.
+    One `sample_quantile_locations` call on ``rng`` draws every trial's
+    ranked locations exactly in law, without the other n - 2b - 1 points,
+    and `estimate_at` estimates all trials at once; neither a thread pool
+    nor per-trial generators are involved.  Second moments of the scaled
+    errors are taken about the analytic limits (which are zero-mean), and
+    the quantile comparison drops the degenerate zero-level coordinate that
+    the limit law excludes.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
@@ -214,12 +218,7 @@ def clt_empirical_check(
     sqrt_n = np.sqrt(n)
     bundle = covariance_bundle(field)
 
-    child_rngs = rng.spawn(trials)
-
-    def one_trial(i: int):
-        return quantile_locations(deploy(n, child_rngs[i]), b)
-
-    quants = np.stack(trial_map(one_trial, trials))
+    quants = sample_quantile_locations(n, b, trials, rng)
     ests = estimate_at(field.coeffs, quants)
     coeff_errs = sqrt_n * (ests - field.coeffs)
     quant_errs = sqrt_n * (quants - levels)

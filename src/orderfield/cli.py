@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage errors (unknown command or flag,
-missing required flag), 2 on runtime failures (bad config values, missing
-or malformed files, unwritable output).  All randomness derives from
+Exit codes: 0 on success, also when the reader of stdout closes it early,
+1 on usage errors (unknown command or flag, missing required flag), 2 on
+runtime failures (bad config values, missing or malformed files,
+unwritable output).  All randomness derives from
 --seed, which defaults to DEFAULT_SEED, so identical invocations produce
 identical output bytes.
 """
@@ -177,7 +178,14 @@ def main(argv=None) -> int:
     if args.command == "ambiguity-demo" and not args.field and args.b is None:
         parser.error("one of --field or --b is required")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`... | head -1`): exit quietly, and point
+        # stdout at devnull so the flush at interpreter shutdown fails nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
         print(f"orderfield: error: {exc}", file=sys.stderr)
         return 2

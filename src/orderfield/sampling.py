@@ -6,7 +6,9 @@ them sorted (sensors are exchangeable).  The estimator is only ever handed a
 with the locations themselves dropped.  Simulation-side code that needs the
 hidden locations (covariance checks, order-statistic diagnostics) reads them
 from the `DeploymentDraw`; nothing on the estimation path accepts a draw.
-Monte Carlo trials evaluate the field only at the 2b+1 `quantile_locations`.
+Monte Carlo trials evaluate the field only at the 2b+1 `quantile_locations`;
+`sample_quantile_locations` draws those alone, exactly in law, without the
+other n - 2b - 1 points.
 """
 
 from __future__ import annotations
@@ -114,6 +116,31 @@ def _ranks(n: int, m: int) -> np.ndarray:
 def quantile_locations(d: DeploymentDraw, b: int) -> np.ndarray:
     """The 2b+1 sorted locations at the `quantile_indices` ranks of the draw."""
     return d.locations[quantile_indices(d.n, b) - 1]
+
+
+# From 2**53 on, not every integer is a float64, so a Gamma shape could round.
+EXACT_SHAPE_LIMIT = 2**53
+
+
+def sample_quantile_locations(
+    n: int, b: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The `quantile_locations` of ``trials`` independent n-point deployments, one per row.
+
+    Renyi's representation: with independent Gamma gaps of shapes
+    ``r_0, r_1 - r_0, ..., n + 1 - r_2b`` and partial sums S, the rank-r_l
+    order statistics of n uniforms are jointly ``S_l / S_(2b+1)``.  That is
+    2b+2 draws per trial whatever n is, filled row by row, so row i does not
+    depend on ``trials``.  The shapes are exact floats only below 2**53.
+    """
+    if n >= EXACT_SHAPE_LIMIT:
+        raise ValueError(f"sample count must be below 2**53 for exact Gamma shapes, got {n}")
+    shapes = np.diff(quantile_indices(n, b), prepend=0, append=n + 1)
+    sums = np.cumsum(rng.standard_gamma(shapes, size=(trials, shapes.size)), axis=1)
+    loc = sums[:, :-1] / sums[:, -1:]
+    if loc.size and not (loc.min() >= 0.0 and loc.max() <= 1.0):  # a NaN fails both
+        raise ValueError("locations must lie in [0, 1]")
+    return loc
 
 
 def extract_quantile_samples(s: SampleSet, ranks: np.ndarray) -> np.ndarray:

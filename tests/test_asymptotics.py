@@ -3,12 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from orderfield import (
+    DeploymentDraw,
     FourierCoefficients,
     beta_moments,
     clt_empirical_check,
     coeff_covariance,
     covariance_bundle,
-    deploy,
     estimate_coeffs,
     eval_field,
     field_sample_covariance,
@@ -17,6 +17,7 @@ from orderfield import (
     quantile_covariance,
     quantile_indices,
     random_field,
+    sample_quantile_locations,
 )
 from orderfield.asymptotics import CovarianceBundle
 from orderfield.io import matrix_from_json, matrix_to_json
@@ -224,20 +225,25 @@ def test_clt_check_constant_bandwidth_has_no_interior_levels(rng):
 
 
 def _assert_report_equals_the_full_path(field, n, trials, points):
-    # Reference trials order all n values (`observe`) before `estimate_coeffs`;
-    # every report moment is built from the same per-trial arrays, so each one
-    # must match bitwise.
+    # The report's ranked locations, drawn again from the same seed, are
+    # embedded in full sorted n-point draws: each at its rank, the slots in
+    # between filled with the ranked value below.  Reference trials order all
+    # n values (`observe`) before `estimate_coeffs`; every report moment is
+    # built from the same per-trial arrays, so each one must match bitwise.
     b = field.b
     rep = clt_empirical_check(field, n, trials, np.random.default_rng(n), eval_points=points)
     ranks, sqrt_n, m = quantile_indices(n, b), np.sqrt(n), 2 * b + 1
-    locs, coeff_errs, point_errs = [], [], []
-    for child in np.random.default_rng(n).spawn(trials):
-        d = deploy(n, child)
+    locs = sample_quantile_locations(n, b, trials, np.random.default_rng(n))
+    coeff_errs, point_errs = [], []
+    for row in locs:
+        full = np.zeros(n)
+        full[ranks - 1] = row
+        d = DeploymentDraw(np.maximum.accumulate(full))
+        npt.assert_array_equal(d.locations[ranks - 1], row)
         est = estimate_coeffs(observe(field, d), b)
-        locs.append(d.locations[ranks - 1])
         coeff_errs.append(sqrt_n * (est.coeffs - field.coeffs))
         point_errs.append(sqrt_n * (eval_field(est, points) - eval_field(field, points)))
-    locs, coeff_errs, point_errs = np.stack(locs), np.stack(coeff_errs), np.stack(point_errs)
+    coeff_errs, point_errs = np.stack(coeff_errs), np.stack(point_errs)
     quant_errs = sqrt_n * (locs - np.arange(m) / m)
     npt.assert_array_equal(rep.empirical_coeff_cov, coeff_errs.T @ coeff_errs.conj() / trials)
     npt.assert_array_equal(rep.empirical_coeff_pseudo, coeff_errs.T @ coeff_errs / trials)

@@ -291,6 +291,20 @@ def test_cli_usage_errors_exit_1(tmp_path, run_cli):
         assert "usage" in r.stderr, f"{args}: {r.stderr}"
 
 
+def test_cli_exits_0_quietly_when_stdout_is_closed(tmp_path, cli_env):
+    # the reader takes one line of a ~50 kB field document and closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orderfield", "gen-field", "--b", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=str(tmp_path), env=cli_env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0, err
+    assert err == b""
+
+
 def test_cli_runtime_errors_exit_2(tmp_path, run_cli, cosine_field):
     r = run_cli("estimate", "--field", "missing.json", "--n", "50", cwd=tmp_path)
     assert r.returncode == 2, r.stderr

@@ -12,6 +12,7 @@ from orderfield import (
     quantile_indices,
     quantile_locations,
     random_field,
+    sample_quantile_locations,
     save_samples,
 )
 from orderfield.fields import eval_field
@@ -141,21 +142,77 @@ def test_quantile_locations_read_the_sorted_draw_at_the_ranks(rng):
         quantile_locations(deploy(4, rng), 2)
 
 
-def test_quantile_locations_match_exact_order_statistic_covariance():
-    # Cov(U_(i), U_(j)) = i (n - j + 1) / ((n + 1)^2 (n + 2)) for i <= j.
-    # Each entry is held to 5 of its own standard errors, estimated from the
-    # per-draw products; over 20 other seeds the largest entry sat at 2.7.
-    b, n, draws = 2, 12, 4000
-    rng = np.random.default_rng(20261018)
-    x = np.stack([quantile_locations(deploy(n, rng), b) for _ in range(draws)])
+def _assert_exact_rank_moments(x, n, b):
+    # E U_(r) = r / (n+1) and Cov(U_(i), U_(j)) = i (n - j + 1) / ((n+1)^2 (n+2))
+    # for i <= j, each held to 5 of its own standard errors (the covariance's
+    # estimated from the per-draw products), over the rows of x.
+    draws = x.shape[0]
     r = quantile_indices(n, b)
     lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
     exact = lo * (n - hi + 1) / ((n + 1) ** 2 * (n + 2))
+    assert np.all(np.abs(x.mean(axis=0) - r / (n + 1)) < 5.0 * np.sqrt(np.diag(exact) / draws))
     dev = x - x.mean(axis=0)
     prods = dev[:, :, None] * dev[:, None, :]
     emp = prods.sum(axis=0) / (draws - 1)
     se = prods.std(axis=0, ddof=1) / np.sqrt(draws)
     assert np.all(np.abs(emp - exact) < 5.0 * se)
+
+
+def test_quantile_locations_match_exact_order_statistic_covariance():
+    # over 20 other seeds the largest covariance entry sat at 2.7
+    b, n, draws = 2, 12, 4000
+    rng = np.random.default_rng(20261018)
+    x = np.stack([quantile_locations(deploy(n, rng), b) for _ in range(draws)])
+    _assert_exact_rank_moments(x, n, b)
+
+
+@pytest.mark.parametrize("b, n, seed", [(2, 12, 4242), (1, 10**6, 5151)])
+def test_sampled_quantile_locations_match_exact_beta_moments(b, n, seed):
+    # over 30 other seeds per cell the largest mean and covariance z-scores
+    # were 2.9 and 2.6
+    draws = 4000
+    x = sample_quantile_locations(n, b, draws, np.random.default_rng(seed))
+    assert x.shape == (draws, 2 * b + 1)
+    assert np.all(np.diff(x, axis=1) >= 0.0) and x.min() >= 0.0 and x.max() <= 1.0
+    _assert_exact_rank_moments(x, n, b)
+
+
+def test_sampled_quantile_locations_match_the_full_path_in_law():
+    # Two-sample Kolmogorov-Smirnov distance per ranked level against sorted
+    # full deployments, held to the asymptotic 0.1% critical value
+    # 1.95 sqrt(2 / draws); over 30 other seeds the largest was 1.58 of that.
+    b, n, draws = 1, 50, 2000
+    rng = np.random.default_rng(6161)
+    x = sample_quantile_locations(n, b, draws, rng)
+    y = np.stack([quantile_locations(deploy(n, rng), b) for _ in range(draws)])
+    for a, c in zip(np.sort(x, axis=0).T, np.sort(y, axis=0).T):
+        pooled = np.concatenate([a, c])
+        gap = np.searchsorted(a, pooled, side="right") - np.searchsorted(c, pooled, side="right")
+        assert np.abs(gap).max() / draws < 1.95 * np.sqrt(2.0 / draws)
+
+
+def test_sampled_quantile_locations_are_prefix_stable():
+    for n, b, t in ((1, 0, 7), (40, 3, 50), (10**5, 2, 1000)):
+        short = sample_quantile_locations(n, b, t, np.random.default_rng(7))
+        long = sample_quantile_locations(n, b, 2 * t, np.random.default_rng(7))
+        npt.assert_array_equal(long[:t], short)
+
+
+def test_sampled_quantile_locations_single_point():
+    # b = 0, n = 1: one Gamma(1) over a Gamma(1) + Gamma(1) total, a uniform
+    x = sample_quantile_locations(1, 0, 5, np.random.default_rng(8))
+    assert x.shape == (5, 1)
+    assert np.all((x > 0.0) & (x < 1.0))
+    assert sample_quantile_locations(1, 0, 0, np.random.default_rng(8)).shape == (0, 1)
+
+
+def test_sampled_quantile_locations_reject_inexact_or_too_few_counts():
+    # the count check runs before anything of size n is made
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        sample_quantile_locations(2**53, 1, 3, np.random.default_rng(0))
+    assert sample_quantile_locations(2**53 - 1, 1, 3, np.random.default_rng(0)).shape == (3, 3)
+    with pytest.raises(ValueError):
+        sample_quantile_locations(4, 2, 3, np.random.default_rng(0))
 
 
 def test_extract_quantile_samples_is_one_based():

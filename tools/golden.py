@@ -5,12 +5,13 @@
 
 Writes the configs and field files below into ``OUT_DIR`` (created, must be
 empty), runs each command below there as ``python -m orderfield`` with the
-absolute ``SRC_DIR`` first on ``PYTHONPATH``, then prints one ``sha256  name``
-line for every command's stdout and exit code and for every file left in
-``OUT_DIR``.  A
-refactor that must not change behaviour runs this on a checkout of the
-parent commit and on the change and diffs the two listings.  The digests
-can differ between CPUs or numpy builds, so compare runs from one machine.
+absolute ``SRC_DIR`` first on ``PYTHONPATH``, then prints the numpy version
+and one ``sha256  name`` line for every command's stdout and exit code and
+for every file left in ``OUT_DIR``.  The listing of the current tree is
+committed as ``tools/golden.txt``, and CI requires this script to print
+exactly that file: a refactor leaves it unchanged, a change that alters
+output updates it.  The digests can differ between CPUs or numpy builds,
+so compare runs from one machine and one numpy version.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy
 
 FIELD = os.path.join("fld", "field.json")
 
@@ -101,6 +104,7 @@ def main(argv=None) -> int:
         return 1
     for name, doc in {**CONFIGS, **FIELDS}.items():
         (out / name).write_text(json.dumps(doc))
+    print(f"numpy {numpy.__version__}")
     env = dict(os.environ)
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(src) + (os.pathsep + rest if rest else "")
