@@ -137,10 +137,8 @@ def sample_quantile_locations(
         raise ValueError(f"sample count must be below 2**53 for exact Gamma shapes, got {n}")
     shapes = np.diff(quantile_indices(n, b), prepend=0, append=n + 1)
     sums = np.cumsum(rng.standard_gamma(shapes, size=(trials, shapes.size)), axis=1)
-    loc = sums[:, :-1] / sums[:, -1:]
-    if loc.size and not (loc.min() >= 0.0 and loc.max() <= 1.0):  # a NaN fails both
-        raise ValueError("locations must lie in [0, 1]")
-    return loc
+    # each row is non-decreasing from >= 0 and divided by a sum at least its last entry
+    return sums[:, :-1] / sums[:, -1:]
 
 
 def extract_quantile_samples(s: SampleSet, ranks: np.ndarray) -> np.ndarray:

@@ -6,12 +6,18 @@
 Writes the configs and field files below into ``OUT_DIR`` (created, must be
 empty), runs each command below there as ``python -m orderfield`` with the
 absolute ``SRC_DIR`` first on ``PYTHONPATH``, then prints the numpy version
-and one ``sha256  name`` line for every command's stdout and exit code and
-for every file left in ``OUT_DIR``.  The listing of the current tree is
-committed as ``tools/golden.txt``, and CI requires this script to print
-exactly that file: a refactor leaves it unchanged, a change that alters
-output updates it.  The digests can differ between CPUs or numpy builds,
-so compare runs from one machine and one numpy version.
+and the CPU pins below, and one ``sha256  name`` line for every command's
+stdout and exit code and for every file left in ``OUT_DIR``.  The listing of
+the current tree is committed as ``tools/golden.txt``, and CI requires this
+script to print exactly that file: a refactor leaves it unchanged, a change
+that alters output updates it.
+
+The commands run with numpy's AVX-512 kernels switched off and OpenBLAS held
+to its single-threaded Haswell kernels, so any x86-64 CPU with AVX2 and FMA
+takes the same code paths; without the pin, OpenBLAS's choice of kernel for
+the host CPU alone changes the estimates' last bits.  numpy builds and the
+C library's ``exp``/``sin``/``cos`` can still differ, so the numpy version
+is pinned too.
 """
 
 from __future__ import annotations
@@ -26,6 +32,13 @@ from pathlib import Path
 import numpy
 
 FIELD = os.path.join("fld", "field.json")
+
+# the same kernels on every AVX2 + FMA CPU: numpy at its X86_V3 dispatch, OpenBLAS at Haswell
+CPU_PIN = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Haswell",
+    "OPENBLAS_NUM_THREADS": "1",
+}
 
 CONFIGS = {
     "cfg.json": dict(b_list=[1], n_list=[101, 301], trials=8, base_seed=3),
@@ -104,8 +117,8 @@ def main(argv=None) -> int:
         return 1
     for name, doc in {**CONFIGS, **FIELDS}.items():
         (out / name).write_text(json.dumps(doc))
-    print(f"numpy {numpy.__version__}")
-    env = dict(os.environ)
+    print(f"numpy {numpy.__version__}", *(f"{k}={v}" for k, v in CPU_PIN.items()), sep="; ")
+    env = {**os.environ, **CPU_PIN}
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(src) + (os.pathsep + rest if rest else "")
     for i, args in enumerate(COMMANDS):
