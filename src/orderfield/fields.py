@@ -195,11 +195,12 @@ def _field_draws(b: int, rng: np.random.Generator, real_valued: bool = True) -> 
     """The generator calls of one `random_field`, in order: magnitudes, phases and, for a
     real field, the uniform that picks the sign of the centre term."""
     _check_bandwidth(b)
+    # uniform(0, high, k) is 0.0 + high * random(k), bit for bit, without uniform's checks
     if real_valued:
-        mags = rng.uniform(0.0, 1.0, size=b + 1)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=b)
+        mags = rng.random(b + 1)
+        phases = 2.0 * np.pi * rng.random(b)
         return mags, phases, rng.random()
-    return rng.uniform(0.0, 1.0, size=2 * b + 1), rng.uniform(0.0, 2.0 * np.pi, size=2 * b + 1)
+    return rng.random(2 * b + 1), 2.0 * np.pi * rng.random(2 * b + 1)
 
 
 def _fields_from_draws(b: int, draws, real_valued: bool = True) -> np.ndarray:

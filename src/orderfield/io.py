@@ -3,8 +3,8 @@
 JSON documents are written with two-space indent, sorted keys and a
 trailing newline; report CSVs are one comma-separated line per row with
 ``\\n`` line ends.  Every JSON document and report CSV the package writes
-goes through here.  (``samples.csv`` is written by `sampling.save_samples`
-with the `csv` module and its ``\\r\\n`` line ends.)
+goes through here.  (``samples.csv`` is written by `sampling.save_samples`,
+``%.17g`` per part with ``\\r\\n`` line ends, and read with the `csv` module.)
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ assembled in trial order, so output is identical at any worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -39,5 +38,7 @@ def trial_map(fn: Callable[[int], T], count: int) -> list[T]:
     workers = pool_size(count)
     if workers <= 1:
         return [fn(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor  # only here: a serial run need not load it
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))

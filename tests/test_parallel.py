@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +37,12 @@ def test_trial_map_merges_in_trial_order(monkeypatch):
     monkeypatch.setenv(ENV_THREADS, "2")
     assert trial_map(lambda i: i * i, 7) == [i * i for i in range(7)]
     assert trial_map(lambda i: i, 0) == []
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded(cli_env):
+    # a serial run never starts a pool, so start-up should not pay for its import
+    code = "import sys, orderfield.cli; print('concurrent.futures' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=cli_env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,6 +18,7 @@ from orderfield import (
     save_samples,
 )
 from orderfield.fields import eval_field
+from orderfield.sampling import _SAVE_CHUNK
 
 
 def test_deploy_draws_uniform_locations(rng):
@@ -237,6 +240,44 @@ def test_sample_file_roundtrip(tmp_path, rng):
     npt.assert_array_equal(back.values, s.values)
     header = csv_path.read_text().splitlines()[0]
     assert header == "value_re,value_im"
+
+
+def _save_samples_with_csv_module(s, csv_path):
+    """The writer `save_samples` had before it formatted whole chunks: the byte oracle."""
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["value_re", "value_im"])
+        for z in s.values:
+            writer.writerow([f"{z.real:.17g}", f"{z.imag:.17g}"])
+
+
+def test_save_samples_bytes_equal_the_csv_module_writer(tmp_path, rng):
+    half = _SAVE_CHUNK // 2  # values per chunk of floats
+    sizes = (0, 1, half - 1, half, half + 1, 3 * half + 7)
+    extremes = SampleSet(values=np.array(
+        [-0.0, 5e-324 - 5e-324j, 1.7976931348623157e308 + 0.1j, -1.7976931348623157e308, 1e16j]
+    ))
+    cases = [extremes]
+    for real_valued in (True, False):
+        field = random_field(3, rng, real_valued=real_valued)
+        full = observe(field, deploy(max(sizes), rng))
+        cases += [SampleSet(values=full.values[:n]) for n in sizes]
+    for i, s in enumerate(cases):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        save_samples(s, got, tmp_path / f"got{i}.json")
+        _save_samples_with_csv_module(s, want)
+        assert got.read_bytes() == want.read_bytes(), f"case {i}, n={s.n}"
+    assert b"-0,0\r\n" in (tmp_path / "got0.csv").read_bytes()
+
+
+def test_sample_file_roundtrip_across_chunks(tmp_path, rng):
+    field = random_field(2, rng, real_valued=False)
+    s = observe(field, deploy(3 * _SAVE_CHUNK // 2 + 7, rng, seed_label="99"))
+    csv_path, sidecar = tmp_path / "samples.csv", tmp_path / "samples.json"
+    save_samples(s, csv_path, sidecar)
+    back = load_samples(csv_path, sidecar)
+    assert back.n == s.n and back.seed == "99" and back.b_source == 2
+    npt.assert_array_equal(back.values, s.values)
 
 
 def test_load_samples_rejects_non_finite_values(tmp_path):

@@ -95,6 +95,8 @@ COMMANDS = [
      "--grid", "512", "--seed", "8", "--out", "amb_unbounded"),
     ("ambiguity-demo", "--field", "field_complex.json", "--theta", "0.3", "--n", "200",
      "--grid", "512", "--seed", "8"),
+    # enough values that samples.csv spans more than one formatted chunk
+    ("sample", "--field", "field_complex.json", "--n", "10000", "--seed", "9", "--out", "smp_big"),
 ]
 
 
