@@ -228,22 +228,24 @@ def test_extract_quantile_samples_is_one_based():
 
 
 def test_sample_file_roundtrip(tmp_path, rng):
-    field = random_field(2, rng)
-    s = observe(field, deploy(40, rng, seed_label="1234"))
-    csv_path = tmp_path / "samples.csv"
-    sidecar = tmp_path / "samples.json"
-    save_samples(s, csv_path, sidecar)
-    back = load_samples(csv_path, sidecar)
-    assert back.n == s.n
-    assert back.b_source == 2
-    assert back.seed == "1234"
-    npt.assert_array_equal(back.values, s.values)
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "value_re,value_im"
+    # the larger sample spans more than one formatted chunk of `save_samples`
+    for n, real_valued in ((40, True), (3 * _SAVE_CHUNK // 2 + 7, False)):
+        field = random_field(2, rng, real_valued=real_valued)
+        s = observe(field, deploy(n, rng, seed_label="1234"))
+        csv_path = tmp_path / "samples.csv"
+        sidecar = tmp_path / "samples.json"
+        save_samples(s, csv_path, sidecar)
+        back = load_samples(csv_path, sidecar)
+        assert back.n == s.n
+        assert back.b_source == 2
+        assert back.seed == "1234"
+        npt.assert_array_equal(back.values, s.values)
+        header = csv_path.read_text().splitlines()[0]
+        assert header == "value_re,value_im"
 
 
 def _save_samples_with_csv_module(s, csv_path):
-    """The writer `save_samples` had before it formatted whole chunks: the byte oracle."""
+    """`save_samples`' CSV written row by row with the `csv` module: the byte oracle."""
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["value_re", "value_im"])
@@ -268,16 +270,6 @@ def test_save_samples_bytes_equal_the_csv_module_writer(tmp_path, rng):
         _save_samples_with_csv_module(s, want)
         assert got.read_bytes() == want.read_bytes(), f"case {i}, n={s.n}"
     assert b"-0,0\r\n" in (tmp_path / "got0.csv").read_bytes()
-
-
-def test_sample_file_roundtrip_across_chunks(tmp_path, rng):
-    field = random_field(2, rng, real_valued=False)
-    s = observe(field, deploy(3 * _SAVE_CHUNK // 2 + 7, rng, seed_label="99"))
-    csv_path, sidecar = tmp_path / "samples.csv", tmp_path / "samples.json"
-    save_samples(s, csv_path, sidecar)
-    back = load_samples(csv_path, sidecar)
-    assert back.n == s.n and back.seed == "99" and back.b_source == 2
-    npt.assert_array_equal(back.values, s.values)
 
 
 def test_load_samples_rejects_non_finite_values(tmp_path):
