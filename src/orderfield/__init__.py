@@ -16,7 +16,6 @@ from .sampling import (
     SampleSet,
     deploy,
     extract_quantile_samples,
-    load_samples,
     observe,
     quantile_indices,
     quantile_locations,
@@ -39,7 +38,6 @@ from .ambiguity import (
     AmbiguityReport,
     ambiguity_demo,
     empirical_value_cdf,
-    level_measure,
     level_measure_curve,
     shift_distortion,
     shift_field,

@@ -41,19 +41,10 @@ def empirical_value_cdf(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(v, g, side="right") / v.size
 
 
-def level_measure(c: FourierCoefficients, x: float, grid_points: int) -> float:
-    """Approximate measure of the set where the field lies at or below ``x``.
-
-    Counts field values on a uniform grid of ``grid_points`` locations; the
-    error versus the true sublevel-set measure is at most the number of
-    level crossings over the grid size, i.e. ``2b/grid_points`` per field.
-    """
-    return float(level_measure_curve(c, np.array([float(x)]), grid_points)[0])
-
-
 def level_measure_curve(c: FourierCoefficients, xs: np.ndarray, grid_points: int) -> np.ndarray:
-    """`level_measure` over an ascending array of thresholds, sharing one grid:
-    the value CDF of the field on ``grid_points`` uniform locations."""
+    """The value CDF of the field on ``grid_points`` uniform locations, at each of
+    an ascending array of thresholds: the measure of each sublevel set, to within
+    the number of level crossings over the grid size, ``2b/grid_points``."""
     if grid_points < 2 * c.b + 1:
         raise ValueError(
             f"grid must have at least {2 * c.b + 1} points for b={c.b}, got {grid_points}"

@@ -191,28 +191,23 @@ def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
     return FourierCoefficients(_grid_to_coeffs(build_dft_matrix(b), g))
 
 
-def _field_draws(b: int, rng: np.random.Generator, real_valued: bool = True) -> tuple:
-    """The generator calls of one `random_field`, in order: magnitudes, phases and, for a
-    real field, the uniform that picks the sign of the centre term."""
+def _field_draws(b: int, rng: np.random.Generator) -> tuple:
+    """The generator calls of one `random_field`, in order: magnitudes, phases and
+    the uniform that picks the sign of the centre term."""
     _check_bandwidth(b)
     # uniform(0, high, k) is 0.0 + high * random(k), bit for bit, without uniform's checks
-    if real_valued:
-        mags = rng.random(b + 1)
-        phases = 2.0 * np.pi * rng.random(b)
-        return mags, phases, rng.random()
-    return rng.random(2 * b + 1), 2.0 * np.pi * rng.random(2 * b + 1)
+    mags = rng.random(b + 1)
+    phases = 2.0 * np.pi * rng.random(b)
+    return mags, phases, rng.random()
 
 
-def _fields_from_draws(b: int, draws, real_valued: bool = True) -> np.ndarray:
+def _fields_from_draws(b: int, draws) -> np.ndarray:
     """The checked ``(T, 2b+1)`` coefficient stack built from T trials' `_field_draws`."""
-    mags, phases, *sign_u = (np.array(d) for d in zip(*draws))
-    if real_valued:
-        c = np.empty((mags.shape[0], 2 * b + 1), dtype=np.complex128)
-        c[:, b] = np.where(sign_u[0] < 0.5, 1.0, -1.0) * mags[:, 0]
-        c[:, b + 1 :] = mags[:, 1:] * np.exp(1j * phases)
-        c[:, :b] = c[:, : b : -1].conj()
-    else:
-        c = mags * np.exp(1j * phases)
+    mags, phases, sign_u = (np.array(d) for d in zip(*draws))
+    c = np.empty((mags.shape[0], 2 * b + 1), dtype=np.complex128)
+    c[:, b] = np.where(sign_u < 0.5, 1.0, -1.0) * mags[:, 0]
+    c[:, b + 1 :] = mags[:, 1:] * np.exp(1j * phases)
+    c[:, :b] = c[:, : b : -1].conj()
     total = np.abs(c).sum(axis=1)
     zero = total == 0.0
     if zero.any():
@@ -220,22 +215,21 @@ def _fields_from_draws(b: int, draws, real_valued: bool = True) -> np.ndarray:
         c[zero] = 0.0
         c[zero, b] = 1.0
     c /= total[:, None]
-    _check_coeffs(c, real_valued, bounded=True)
+    _check_coeffs(c, real_valued=True, bounded=True)
     return c
 
 
-def random_field(b: int, rng: np.random.Generator, real_valued: bool = True) -> FourierCoefficients:
-    """Draw a random bounded field with coefficient magnitudes summing to one.
+def random_field(b: int, rng: np.random.Generator) -> FourierCoefficients:
+    """Draw a random real bounded field with coefficient magnitudes summing to one.
 
     Magnitudes and phases are drawn independently and uniformly, conjugate
-    symmetry is imposed when ``real_valued`` is set, and the whole vector is
-    rescaled so the magnitudes sum to exactly one.  The triangle inequality
-    then keeps the field amplitude within [-1, 1] everywhere.  Every magnitude
-    drawn as zero gives the constant field one.  A Monte Carlo cell builds all
-    its trials' fields at once from their `_field_draws`, by the same code.
+    symmetry is imposed, and the whole vector is rescaled so the magnitudes
+    sum to exactly one.  The triangle inequality then keeps the field
+    amplitude within [-1, 1] everywhere.  Every magnitude drawn as zero gives
+    the constant field one.  A Monte Carlo cell builds all its trials' fields
+    at once from their `_field_draws`, by the same code.
     """
-    c = _fields_from_draws(b, [_field_draws(b, rng, real_valued)], real_valued)[0]
-    return FourierCoefficients(c)
+    return FourierCoefficients(_fields_from_draws(b, [_field_draws(b, rng)])[0])
 
 
 def save_field(c: FourierCoefficients, path) -> None:

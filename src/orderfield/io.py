@@ -4,7 +4,7 @@ JSON documents are written with two-space indent, sorted keys and a
 trailing newline; report CSVs are one comma-separated line per row with
 ``\\n`` line ends.  Every JSON document and report CSV the package writes
 goes through here.  (``samples.csv`` is written by `sampling.save_samples`,
-``%.17g`` per part with ``\\r\\n`` line ends, and read with the `csv` module.)
+``%.17g`` per part with ``\\r\\n`` line ends.)
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ def matrix_to_json(m: np.ndarray) -> dict:
         "shape": [int(a.shape[0]), int(a.shape[1])],
         "data": pairs_to_json(a.ravel(order="C")),
     }
-
-
-def matrix_from_json(doc: dict) -> np.ndarray:
-    rows, cols = (int(x) for x in doc["shape"])
-    flat = pairs_from_json(doc["data"])
-    if flat.size != rows * cols:
-        raise ValueError(f"matrix data length {flat.size} does not match shape {(rows, cols)}")
-    return flat.reshape(rows, cols)
 
 
 def to_json(x):

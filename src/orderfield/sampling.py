@@ -13,14 +13,13 @@ other n - 2b - 1 points.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FourierCoefficients, eval_field, _check_bandwidth, _freeze
-from .io import as_int, read_json, write_json
+from .io import write_json
 
 _SAVE_CHUNK = 8192  # floats per formatted block of `save_samples`; must be even
 
@@ -167,18 +166,3 @@ def save_samples(s: SampleSet, csv_path, sidecar_path) -> None:
             fh.write("%.17g,%.17g\r\n" * (len(chunk) // 2) % tuple(chunk))
     write_json(sidecar_path, {"n": int(s.n), "b_source": int(s.b_source), "seed": s.seed})
 
-
-def load_samples(csv_path, sidecar_path) -> SampleSet:
-    """Read `save_samples` output; the sidecar's ``n`` must match the CSV rows."""
-    meta = read_json(sidecar_path)
-    n = as_int(meta["n"], "n")
-    b_source = as_int(meta["b_source"], "b_source")
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["value_re", "value_im"]:
-            raise ValueError(f"unexpected sample CSV header: {header}")
-        values = np.array([complex(float(re), float(im)) for re, im in reader])
-    if values.size != n:
-        raise ValueError(f"sample sidecar gives n={n} but the CSV has {values.size} rows")
-    return SampleSet(values=values, b_source=b_source, seed=str(meta["seed"]))

@@ -14,6 +14,20 @@ def cosine_field():
     return FourierCoefficients(np.array([0.25, 0.5, 0.25], dtype=np.complex128))
 
 
+@pytest.fixture(scope="session")
+def complex_random_field():
+    """``draw(b, rng)``: a random bounded field without conjugate symmetry, from 2b+1
+    uniform magnitudes and 2b+1 uniform phases, rescaled to magnitude sum one."""
+
+    def draw(b, rng):
+        mags = rng.random(2 * b + 1)
+        phases = 2.0 * np.pi * rng.random(2 * b + 1)
+        c = mags * np.exp(1j * phases)
+        return FourierCoefficients(c / np.abs(c).sum())
+
+    return draw
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

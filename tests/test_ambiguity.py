@@ -7,7 +7,6 @@ from orderfield import (
     ambiguity_demo,
     empirical_value_cdf,
     eval_field,
-    level_measure,
     level_measure_curve,
     random_field,
     shift_distortion,
@@ -34,27 +33,27 @@ def test_empirical_cdf_rejects_bad_input():
 
 def test_level_measure_cosine_closed_form(cosine_field):
     # measure{0.5 + 0.5cos(2 pi t) <= x} = 1 - arccos(2x - 1)/pi on [0, 1]
-    for x in (0.1, 0.25, 0.5, 0.75, 0.9):
-        expected = 1.0 - np.arccos(2 * x - 1) / np.pi
-        got = level_measure(cosine_field, x, 8192)
-        assert abs(got - expected) <= 2 / 8192 + 1e-12
+    xs = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
+    expected = 1.0 - np.arccos(2 * xs - 1) / np.pi
+    got = level_measure_curve(cosine_field, xs, 8192)
+    assert np.all(np.abs(got - expected) <= 2 / 8192 + 1e-12)
 
 
 def test_level_measure_saturates_outside_range(cosine_field):
-    assert level_measure(cosine_field, -0.5, 1024) == 0.0
-    assert level_measure(cosine_field, 1.5, 1024) == 1.0
+    assert level_measure_curve(cosine_field, np.array([-0.5, 1.5]), 1024).tolist() == [0.0, 1.0]
 
 
 def test_level_measure_curve_matches_scalar(cosine_field):
+    # the curve equals each single-threshold curve
     xs = np.array([0.2, 0.5, 0.8])
     curve = level_measure_curve(cosine_field, xs, 4096)
     for x, y in zip(xs, curve):
-        assert level_measure(cosine_field, x, 4096) == y
+        assert level_measure_curve(cosine_field, np.array([x]), 4096).tolist() == [y]
 
 
 def test_level_measure_requires_enough_grid(cosine_field):
     with pytest.raises(ValueError):
-        level_measure(cosine_field, 0.5, 2)
+        level_measure_curve(cosine_field, np.array([0.5]), 2)
 
 
 def test_shift_field_translates_the_field(rng):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,7 +22,7 @@ from orderfield import (
     sample_quantile_locations,
 )
 from orderfield.asymptotics import CovarianceBundle
-from orderfield.io import matrix_from_json, matrix_to_json
+from orderfield.io import dumps_json, matrix_to_json
 
 
 def test_quantile_covariance_hand_values():
@@ -278,8 +280,7 @@ def test_clt_report_json_shape(cosine_field):
     )
     doc = rep.to_json_dict()
     assert doc["b"] == 1 and doc["n"] == 200 and doc["trials"] == 50
-    emp = matrix_from_json(doc["empirical_coeff_cov"])
-    npt.assert_allclose(emp, rep.empirical_coeff_cov, atol=1e-15)
+    assert doc["empirical_coeff_cov"] == matrix_to_json(rep.empirical_coeff_cov)
     assert len(doc["per_quantile_moments"]) == 3
     assert set(doc) == {
         "b", "n", "trials",
@@ -304,8 +305,11 @@ def test_clt_report_json_shape(cosine_field):
 
 
 def test_matrix_json_roundtrip(rng):
+    # row-major [re, im] pairs that survive the JSON text exactly
     m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    back = matrix_from_json(matrix_to_json(m))
-    npt.assert_array_equal(back, m)
-    with pytest.raises(ValueError):
-        matrix_from_json({"shape": [2, 2], "data": [[0.0, 0.0]]})
+    assert json.loads(dumps_json(matrix_to_json(m))) == {
+        "shape": [3, 4],
+        "data": [[m[i, j].real, m[i, j].imag] for i in range(3) for j in range(4)],
+    }
+    real = matrix_to_json(np.array([[1.0, -2.0]]))
+    assert real == {"shape": [1, 2], "data": [[1.0, 0.0], [-2.0, 0.0]]}

@@ -70,9 +70,9 @@ def test_reconstruct_matches_coefficient_sum(rng):
     npt.assert_allclose(eval_field(est, t), expected, atol=1e-12)
 
 
-def test_estimate_at_rows_equal_per_trial_estimates(rng):
+def test_estimate_at_rows_equal_per_trial_estimates(rng, complex_random_field):
     b, n = 2, 40
-    fields = [random_field(b, rng, real_valued=False) for _ in range(6)]
+    fields = [complex_random_field(b, rng) for _ in range(6)]
     draws = [deploy(n, rng) for _ in fields]
     locs = np.stack([quantile_locations(d, b) for d in draws])
     stacked = estimate_at(np.stack([f.coeffs for f in fields]), locs)

@@ -161,14 +161,6 @@ def test_random_field_is_bounded_and_real(rng):
         assert np.max(np.abs(vals.imag)) < 1e-10
 
 
-def test_random_field_complex_mode(rng):
-    c = random_field(3, rng, real_valued=False)
-    assert not c.real_valued
-    assert c.bounded
-    vals = eval_field(c, rng.random(50))
-    assert np.max(np.abs(vals)) <= 1.0 + 1e-12
-
-
 def test_random_field_is_deterministic():
     a = random_field(2, np.random.default_rng(77))
     b = random_field(2, np.random.default_rng(77))
@@ -181,25 +173,20 @@ def test_random_field_constant_case():
     assert abs(abs(c.coeffs[0]) - 1.0) < 1e-12
 
 
-def loop_random_field(b, rng, real_valued=True):
+def loop_random_field(b, rng):
     """The frequency-by-frequency `random_field` that the stacked assembly replaced,
-    kept verbatim as the oracle for its bytes."""
+    kept as the oracle for its bytes."""
     if b < 0:
         raise ValueError(f"bandwidth index must be >= 0, got {b}")
     m = 2 * b + 1
-    if real_valued:
-        mags = rng.uniform(0.0, 1.0, size=b + 1)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=b)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        c = np.zeros(m, dtype=np.complex128)
-        c[b] = sign * mags[0]
-        for k in range(1, b + 1):
-            c[b + k] = mags[k] * np.exp(1j * phases[k - 1])
-            c[b - k] = np.conj(c[b + k])
-    else:
-        mags = rng.uniform(0.0, 1.0, size=m)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        c = mags * np.exp(1j * phases)
+    mags = rng.uniform(0.0, 1.0, size=b + 1)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=b)
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    c = np.zeros(m, dtype=np.complex128)
+    c[b] = sign * mags[0]
+    for k in range(1, b + 1):
+        c[b + k] = mags[k] * np.exp(1j * phases[k - 1])
+        c[b - k] = np.conj(c[b + k])
     total = float(np.sum(np.abs(c)))
     if total == 0.0:
         c = np.zeros(m, dtype=np.complex128)
@@ -209,37 +196,30 @@ def loop_random_field(b, rng, real_valued=True):
     return FourierCoefficients(c)
 
 
-@pytest.mark.parametrize("real_valued", [True, False])
 @pytest.mark.parametrize("b", [0, 1, 2, 4, 7, 8, 16])
-def test_random_field_and_stacked_fields_equal_the_loop_bitwise(b, real_valued):
+def test_random_field_and_stacked_fields_equal_the_loop_bitwise(b):
     # from b = 4 on, 2b+1 >= 9 magnitudes and numpy sums them pairwise, unrolled
     seeds = range(200)
-    loop = np.stack([loop_random_field(b, np.random.default_rng(s), real_valued).coeffs
-                     for s in seeds])
-    one_by_one = np.stack([random_field(b, np.random.default_rng(s), real_valued).coeffs
-                           for s in seeds])
-    stacked = _fields_from_draws(
-        b, [_field_draws(b, np.random.default_rng(s), real_valued) for s in seeds], real_valued
-    )
+    loop = np.stack([loop_random_field(b, np.random.default_rng(s)).coeffs for s in seeds])
+    one_by_one = np.stack([random_field(b, np.random.default_rng(s)).coeffs for s in seeds])
+    stacked = _fields_from_draws(b, [_field_draws(b, np.random.default_rng(s)) for s in seeds])
     assert one_by_one.tobytes() == loop.tobytes()
     assert stacked.tobytes() == loop.tobytes()
     # the draws are the oracle's generator calls: both leave the generator in one state
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    loop_random_field(b, rng_a, real_valued)
-    _field_draws(b, rng_b, real_valued)
+    loop_random_field(b, rng_a)
+    _field_draws(b, rng_b)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-@pytest.mark.parametrize("real_valued", [True, False])
-def test_stacked_fields_with_all_zero_magnitudes_are_the_unit_centre_field(real_valued):
+def test_stacked_fields_with_all_zero_magnitudes_are_the_unit_centre_field():
     b = 2
-    m = 2 * b + 1
-    zero = (np.zeros(b + 1), np.ones(b), 0.9) if real_valued else (np.zeros(m), np.ones(m))
-    live = _field_draws(b, np.random.default_rng(5), real_valued)
-    c = _fields_from_draws(b, [zero, live, zero], real_valued)
-    unit = np.eye(m, dtype=np.complex128)[b]
+    zero = (np.zeros(b + 1), np.ones(b), 0.9)
+    live = _field_draws(b, np.random.default_rng(5))
+    c = _fields_from_draws(b, [zero, live, zero])
+    unit = np.eye(2 * b + 1, dtype=np.complex128)[b]
     assert c[0].tobytes() == c[2].tobytes() == unit.tobytes()
-    expected = loop_random_field(b, np.random.default_rng(5), real_valued).coeffs
+    expected = loop_random_field(b, np.random.default_rng(5)).coeffs
     assert c[1].tobytes() == expected.tobytes()
 
 

@@ -136,11 +136,11 @@ def _full_path_distortions(cfg, b, n, fixed):
 
 @pytest.mark.parametrize("b", [0, 1, 3, 4, 8])
 @pytest.mark.parametrize("fixed_field", [False, True])
-def test_rank_only_trials_equal_the_full_path(b, fixed_field):
+def test_rank_only_trials_equal_the_full_path(b, fixed_field, complex_random_field):
     # from b = 4 on, 2b+1 >= 9 and numpy sums the field magnitudes pairwise, unrolled
     fixed = None
     if fixed_field:
-        fixed = random_field(b, np.random.default_rng(40 + b), real_valued=False)
+        fixed = complex_random_field(b, np.random.default_rng(40 + b))
     for n in sorted({2 * b + 1, 2 * b + 2, 50, 333, 1000}):
         cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=12, base_seed=17 + n)
         rank_only = _cell_distortions(cfg, b, n, fixed)
@@ -154,11 +154,11 @@ def test_rank_only_trials_match_the_full_path_at_large_n():
 
 
 @pytest.mark.parametrize("fixed_field", [False, True])
-def test_batched_cell_equals_the_full_path_above_16384_values(fixed_field):
+def test_batched_cell_equals_the_full_path_above_16384_values(fixed_field, complex_random_field):
     # 2400 trials x 7 ranked locations = 16800 values in one batched
     # evaluation, past the size from which numpy elides temporaries
     b, n = 3, 50
-    fixed = random_field(b, np.random.default_rng(7), real_valued=False) if fixed_field else None
+    fixed = complex_random_field(b, np.random.default_rng(7)) if fixed_field else None
     cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=2400, base_seed=11)
     batched = _cell_distortions(cfg, b, n, fixed)
     assert batched.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()

@@ -40,9 +40,11 @@ def test_trial_map_merges_in_trial_order(monkeypatch):
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded(cli_env):
-    # a serial run never starts a pool, so start-up should not pay for its import
-    code = "import sys, orderfield.cli; print('concurrent.futures' in sys.modules)"
+    # a serial run never starts a pool, and no command reads CSV, so start-up
+    # should pay for neither import
+    code = ("import sys, orderfield.cli; "
+            "print(sorted({'concurrent.futures', 'csv'} & set(sys.modules)))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=cli_env, timeout=60)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.strip() == "[]"
