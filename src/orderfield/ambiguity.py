@@ -9,6 +9,7 @@ identical value laws, so order information is essential.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,21 +53,25 @@ def level_measure_curve(c: FourierCoefficients, xs: np.ndarray, grid_points: int
     return empirical_value_cdf(eval_field(c, np.arange(grid_points) / grid_points), xs)
 
 
+def _shift_phases(c: FourierCoefficients, theta: float) -> np.ndarray:
+    """``exp(-2j*pi*k*theta)`` for each frequency k of the field, with ``theta``
+    first reduced by whole periods, so a shift by whole periods is exactly none."""
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    k = np.arange(-c.b, c.b + 1)
+    return np.exp(-2j * np.pi * k * math.fmod(theta, 1.0))
+
+
 def shift_field(c: FourierCoefficients, theta: float) -> FourierCoefficients:
     """Cyclically shift the field by ``theta``: coefficient k picks up phase
     ``exp(-2j*pi*k*theta)``.  Real-valuedness and boundedness survive."""
-    if not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    k = np.arange(-c.b, c.b + 1)
-    return FourierCoefficients(c.coeffs * np.exp(-2j * np.pi * k * float(theta)))
+    return FourierCoefficients(c.coeffs * _shift_phases(c, theta))
 
 
 def shift_distortion(c: FourierCoefficients, theta: float) -> float:
     """Squared L2 distance between the field and its shift, in closed form."""
-    k = np.arange(-c.b, c.b + 1)
-    return float(
-        np.sum(np.abs(c.coeffs) ** 2 * np.abs(1.0 - np.exp(-2j * np.pi * k * float(theta))) ** 2)
-    )
+    return float(np.sum(np.abs(c.coeffs) ** 2 * np.abs(1.0 - _shift_phases(c, theta)) ** 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,12 +69,18 @@ def test_shift_by_zero_is_identity(cosine_field):
     shifted = shift_field(cosine_field, 0.0)
     npt.assert_allclose(shifted.coeffs, cosine_field.coeffs, atol=1e-15)
     assert shift_distortion(cosine_field, 0.0) == 0.0
+    # theta is reduced by whole periods first, so these shifts are exactly none
+    for theta in (3.0, -2.0, 2.0**60):
+        assert (shift_field(cosine_field, theta).coeffs == cosine_field.coeffs).all()
+        assert shift_distortion(cosine_field, theta) == 0.0
 
 
 def test_shift_rejects_non_finite_theta(cosine_field):
     for theta in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="theta must be finite"):
             shift_field(cosine_field, theta)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            shift_distortion(cosine_field, theta)
 
 
 def test_shift_distortion_cosine_quarter_period(cosine_field):

@@ -343,6 +343,11 @@ def test_cli_rejects_non_finite_theta_and_out_of_range_seeds(tmp_path, run_cli):
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("orderfield: error:"), r.stderr
         assert message in lines[0], r.stderr
+    # a finite theta of 1e308 is a whole number of periods: no shift at all
+    r = run_cli("ambiguity-demo", "--b", "1", "--theta", "1e308", "--n", "64", "--grid", "64",
+                cwd=tmp_path)
+    assert (r.returncode, r.stderr) == (0, ""), r.stderr
+    assert json.loads(r.stdout)["distortion_between_fields"] == 0.0
 
 
 def test_cli_rejects_bandwidths_above_the_cap(tmp_path, capsys, cosine_field):

@@ -10,7 +10,10 @@ and the CPU pins below, and one ``sha256  name`` line for every command's
 stdout and exit code and for every file left in ``OUT_DIR``.  The listing of
 the current tree is committed as ``tools/golden.txt``, and CI requires this
 script to print exactly that file: a refactor leaves it unchanged, a change
-that alters output updates it.
+that alters output updates it.  The script also holds every command to the
+stderr contract and exits 1, naming the command, when one breaks it: a
+command that exits 0 writes nothing to stderr, and one that exits 2 writes
+exactly one ``orderfield: error:`` line.
 
 The commands run with numpy's AVX-512 kernels switched off and OpenBLAS held
 to its single-threaded Haswell kernels, so any x86-64 CPU with AVX2 and FMA
@@ -82,7 +85,7 @@ COMMANDS = [
     ("mse-sweep", "--config", "cfg_b48.json", "--out", "sweep48"),
     # one saved field shared by every trial of a sweep
     ("mse-sweep", "--config", "cfg_fixed.json", "--out", "sweep_fixed"),
-    # shifts by more than a period, applied as given
+    # shifts by more than a period, which are reduced by whole periods first
     ("ambiguity-demo", "--b", "2", "--theta", "1.3", "--n", "200", "--grid", "512",
      "--seed", "6"),
     ("ambiguity-demo", "--field", FIELD, "--theta", "-2.4", "--n", "200", "--grid", "512",
@@ -104,6 +107,16 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def stderr_fault(returncode: int, stderr: bytes) -> str | None:
+    """How a command's stderr breaks the contract for its exit code, or None."""
+    lines = stderr.decode("utf-8", "replace").splitlines()
+    if returncode == 0 and stderr:
+        return f"exit 0 but wrote {len(lines)} stderr line(s), the first {lines[0]!r}"
+    if returncode == 2 and not (len(lines) == 1 and lines[0].startswith("orderfield: error:")):
+        return f"exit 2 without exactly one 'orderfield: error:' stderr line: {lines!r}"
+    return None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -123,14 +136,20 @@ def main(argv=None) -> int:
     env = {**os.environ, **CPU_PIN}
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(src) + (os.pathsep + rest if rest else "")
+    faults = []
     for i, args in enumerate(COMMANDS):
         r = subprocess.run([sys.executable, "-m", "orderfield", *args],
                            capture_output=True, cwd=str(out), env=env)
         print(f"{sha256(r.stdout)}  [{i:02d} {args[0]} stdout, exit {r.returncode}]")
+        fault = stderr_fault(r.returncode, r.stderr)
+        if fault:
+            faults.append(f"golden: [{i:02d} {' '.join(args)}] {fault}")
     for p in sorted(out.rglob("*")):
         if p.is_file():
             print(f"{sha256(p.read_bytes())}  {p.relative_to(out).as_posix()}")
-    return 0
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
