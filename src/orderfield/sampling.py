@@ -165,4 +165,3 @@ def save_samples(s: SampleSet, csv_path, sidecar_path) -> None:
             chunk = flat[start : start + _SAVE_CHUNK].tolist()
             fh.write("%.17g,%.17g\r\n" * (len(chunk) // 2) % tuple(chunk))
     write_json(sidecar_path, {"n": int(s.n), "b_source": int(s.b_source), "seed": s.seed})
-
