@@ -84,8 +84,13 @@ def test_observe_evaluates_at_sorted_locations(rng, cosine_field):
 def test_sample_set_validates_length():
     with pytest.raises(ValueError):
         SampleSet(values=np.zeros((3, 2), dtype=complex))
-    with pytest.raises(ValueError, match="finite"):
-        SampleSet(values=np.array([0.5, np.inf]))
+
+
+def test_load_samples_rejects_non_finite_values():
+    # samples are only ever built through SampleSet, which refuses NaN and inf
+    for bad in (np.array([np.nan + 0j]), np.array([0.5, np.inf]), np.array([complex(0.0, -np.inf)])):
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet(values=bad)
 
 
 def test_quantile_indices_small_cases():
