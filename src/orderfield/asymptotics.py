@@ -207,10 +207,15 @@ def clt_empirical_check(
     nor per-trial generators are involved.  Second moments of the scaled
     errors are taken about the analytic limits (which are zero-mean), and
     the quantile comparison drops the degenerate zero-level coordinate that
-    the limit law excludes.
+    the limit law excludes.  ``eval_points``, when given, must be a 1-D
+    array of finite floats; anything else raises ValueError before a draw.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    if eval_points is not None:
+        points = np.asarray(eval_points, dtype=np.float64)
+        if points.ndim != 1 or not np.isfinite(points).all():
+            raise ValueError("eval_points must be a 1-D array of finite floats")
     b = field.b
     ranks = quantile_indices(n, b)
     m = 2 * b + 1
@@ -236,6 +241,10 @@ def clt_empirical_check(
     ana_quant = bundle.quantile_cov[1:, 1:]
     quant_rel = _rel_frobenius(emp_quant, ana_quant)
 
+    # Row reductions over contiguous copies: each row gets the pairwise sum
+    # its column got; reducing axis 0 of the C-ordered array sums sequentially.
+    level_rows = np.ascontiguousarray(quants.T)
+    means, variances = np.mean(level_rows, axis=1), np.var(level_rows, axis=1, ddof=1)
     moments = []
     for l in range(m):
         beta_mean, beta_var = beta_moments(int(ranks[l]), n)
@@ -244,8 +253,8 @@ def clt_empirical_check(
                 level_index=l,
                 rank=int(ranks[l]),
                 level=float(levels[l]),
-                mean=float(np.mean(quants[:, l])),
-                variance=float(np.var(quants[:, l], ddof=1)),
+                mean=float(means[l]),
+                variance=float(variances[l]),
                 beta_mean=beta_mean,
                 beta_variance=beta_var,
             )
@@ -253,19 +262,19 @@ def clt_empirical_check(
 
     checks = []
     if eval_points is not None:
-        points = np.asarray(eval_points, dtype=np.float64)
-        at_points = _horner_eval(ests, b, np.broadcast_to(points, (trials, points.size)))
-        point_errs = sqrt_n * (at_points - eval_field(field, points))
+        point_errs = sqrt_n * (_horner_eval(ests, b, points) - eval_field(field, points))
+        point_rows = np.ascontiguousarray(point_errs.T)
+        seconds = np.mean(point_rows**2, axis=1)
+        abs_seconds = np.mean(np.abs(point_rows) ** 2, axis=1)
         for j, t in enumerate(points):
             sec, abs_sec = pointwise_variance(bundle, float(t))
-            col = point_errs[:, j]
             checks.append(
                 PointwiseCheck(
                     t=float(t),
                     analytic_second_moment=sec,
                     analytic_abs_second_moment=abs_sec,
-                    empirical_second_moment=complex(np.mean(col**2)),
-                    empirical_abs_second_moment=float(np.mean(np.abs(col) ** 2)),
+                    empirical_second_moment=complex(seconds[j]),
+                    empirical_abs_second_moment=float(abs_seconds[j]),
                 )
             )
 

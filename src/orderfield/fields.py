@@ -138,11 +138,12 @@ def _grid_to_coeffs(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _horner_eval(coeffs: np.ndarray, b: int, t):
     """Evaluate sum_k coeffs[..., b+k] * exp(2j*pi*k*t) for scalar or array t; a
-    ``(T, 2b+1)`` coefficient stack takes ``(T, k)`` points, row by row."""
+    ``(T, 2b+1)`` coefficient stack takes ``(T, k)`` points, row by row, or ``(k,)``
+    points shared by every row, which gives ``(T, k)`` values."""
     t = np.mod(np.asarray(t, dtype=np.float64), 1.0)
     z = np.exp(2j * np.pi * t)
     c = coeffs if coeffs.ndim == 1 else coeffs.T[:, :, None]
-    acc = np.full_like(z, c[-1])
+    acc = np.full(np.broadcast_shapes(np.shape(c[-1]), z.shape), c[-1], dtype=z.dtype)
     for m in range(2 * b - 1, -1, -1):
         acc = acc * z + c[m]
     if b > 0:

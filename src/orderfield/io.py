@@ -1,16 +1,22 @@
 """On-disk formats: complex numbers as ``[re, im]`` pairs, JSON and CSV text.
 
 JSON documents are written with two-space indent, sorted keys and a
-trailing newline; report CSVs are one comma-separated line per row with
-``\\n`` line ends.  Every JSON document and report CSV the package writes
-goes through here.  (``samples.csv`` is written by `sampling.save_samples`,
-``%.17g`` per part with ``\\r\\n`` line ends.)
+trailing newline: the text `dumps_json` returns is exactly that of
+``json.dumps(doc, indent=2, sort_keys=True)``, with ASCII-escaped strings,
+``repr`` numbers, ``true``/``false``/``null``, and ``NaN``, ``Infinity`` and
+``-Infinity`` for non-finite floats.  Report CSVs are one comma-separated
+line per row with ``\\n`` line ends.  Every JSON document and report CSV
+the package writes goes through here.  (``samples.csv`` is written by
+`sampling.save_samples`, ``%.17g`` per part with ``\\r\\n`` line ends.)
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,7 +28,7 @@ def pair(z) -> list:
 
 def pairs_to_json(values) -> list:
     """A one-dimensional complex array as a list of ``[re, im]`` pairs."""
-    return [pair(z) for z in values]
+    return np.ascontiguousarray(values, np.complex128).view(np.float64).reshape(-1, 2).tolist()
 
 
 def pairs_from_json(doc) -> np.ndarray:
@@ -65,7 +71,82 @@ def as_int(value, name: str) -> int:
 
 
 def dumps_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for JSON data.
+
+    The stdlib takes its C encoder only without ``indent``; this walks the
+    document once and renders each list of finite ``[re, im]`` float pairs
+    with a single ``%`` format.  Keys must be strings.
+    """
+    out = []
+    _encode(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _encode(x, newline: str, emit) -> None:
+    """Append the text of ``x`` at the indent that ``newline`` ends with."""
+    if isinstance(x, float):
+        emit(_float_text(x))
+    elif isinstance(x, str):
+        emit(encode_basestring_ascii(x))
+    elif x is None:
+        emit("null")
+    elif x is True:
+        emit("true")
+    elif x is False:
+        emit("false")
+    elif isinstance(x, int):
+        emit(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            emit("[]")
+            return
+        inner = newline + "  "
+        pairs = _finite_pair_floats(x)
+        if pairs is not None:
+            item = f"{inner}[{inner}  %r,{inner}  %r{inner}]"
+            emit("[" + ",".join([item] * len(x)) % pairs + newline + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            emit(sep)
+            _encode(v, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(x, dict):
+        if not x:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(x.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            emit(sep + encode_basestring_ascii(k) + ": ")
+            _encode(v, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _finite_pair_floats(x):
+    """The flattened values of a list of 2-lists of finite exact floats, else None.
+
+    ``%r`` is ``float.__repr__`` only for exact floats, and gives ``nan`` and
+    ``inf`` where JSON text needs ``NaN`` and ``Infinity``.
+    """
+    if set(map(type, x)) != {list} or set(map(len, x)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(x))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    return flat
 
 
 def write_json(path, doc) -> None:

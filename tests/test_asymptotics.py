@@ -215,6 +215,13 @@ def test_clt_check_moderate_scale_agreement(cosine_field):
 def test_clt_check_validates_arguments(cosine_field):
     with pytest.raises(ValueError):
         clt_empirical_check(cosine_field, 100, 1, np.random.default_rng(0))
+    # evaluation points are checked before the generator draws anything
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for points in ([np.nan, 0.3], [0.2, np.inf], 0.3, [[0.1, 0.2]], np.zeros((2, 1))):
+        with pytest.raises(ValueError, match="eval_points"):
+            clt_empirical_check(cosine_field, 100, 10, rng, eval_points=points)
+    assert rng.bit_generator.state == state
 
 
 def test_clt_check_constant_bandwidth_has_no_interior_levels(rng):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -25,6 +26,7 @@ from orderfield import (
 from orderfield import cli
 from orderfield.fields import MAX_BANDWIDTH, FourierCoefficients
 from orderfield.harness import SWEEP_CSV_HEADER, _cell_distortions
+from orderfield.io import dumps_json, matrix_to_json
 
 
 def small_config(**overrides):
@@ -257,6 +259,42 @@ def test_ambiguity_demo_writes_curves(tmp_path, cosine_field):
         lines = (out / name).read_text().splitlines()
         assert lines[0] == "x,cdf"
         assert len(lines) == 1 + report.thresholds.size
+
+
+def _estimate_doc():
+    field = random_field(3, np.random.default_rng(5))
+    return estimate_coeffs(observe(field, deploy(400, np.random.default_rng(6))), 3).to_json_dict()
+
+
+def _clt_doc():
+    cfg = ExperimentConfig(b_list=[0, 2], n_list=[50], trials=10, base_seed=3)
+    return {"checks": [r.to_json_dict() for r in run_clt_check(cfg, eval_points=[0.1, 0.7])]}
+
+
+JSON_DOCS = {
+    "non-finite and tiny floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324],
+    "big int, bools beside ints, null": {"big": 2**80, "flags": [True, 1, False, 0], "z": None},
+    "empty list and dict": {"list": [], "dict": {}, "nested": [[], {}]},
+    "(0, 0) matrix": matrix_to_json(np.zeros((0, 0))),
+    "pair list holding a NaN": [[0.5, -0.0], [math.nan, 1.0]],
+    "pairs holding an int, a numpy float and a bool": [[1.0, 2.0], [3, np.float64(0.1)], [True, 0.5]],
+    "strings": ["se\u00f1al \u2014 \U0001d11e", "tab\tbell\x07 quote\" back\\"],
+    "numeric string keys": {"10": 1.5, "2": [[0.25, 0.75]]},
+    "tuples": (1.0, (2.0, 3.0), ("a", None)),
+    "field": lambda: random_field(3, np.random.default_rng(4)).to_json_dict(),
+    "estimate": _estimate_doc,
+    "sweep report": lambda: run_mse_sweep(small_config(b_list=[0, 1])).to_json_dict(),
+    "clt report with eval points": _clt_doc,
+    "ambiguity report": lambda: run_ambiguity_demo(
+        random_field(2, np.random.default_rng(8)), 0.3, 200, 512, 9
+    ).to_json_dict(),
+}
+
+
+@pytest.mark.parametrize("name", JSON_DOCS)
+def test_dumps_json_is_the_stdlib_indent_text(name):
+    doc = JSON_DOCS[name]() if callable(JSON_DOCS[name]) else JSON_DOCS[name]
+    assert dumps_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_ambiguity_demo_rejects_bad_seed(cosine_field):

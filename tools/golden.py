@@ -13,7 +13,10 @@ script to print exactly that file: a refactor leaves it unchanged, a change
 that alters output updates it.  The script also holds every command to the
 stderr contract and exits 1, naming the command, when one breaks it: a
 command that exits 0 writes nothing to stderr, and one that exits 2 writes
-exactly one ``orderfield: error:`` line.
+exactly one ``orderfield: error:`` line.  It also exits 1, naming the file,
+when a ``*.json`` file a command wrote is not the text
+``json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"``, the
+format the package's own JSON writer promises.
 
 The commands run with numpy's AVX-512 kernels switched off and OpenBLAS held
 to its single-threaded Haswell kernels, so any x86-64 CPU with AVX2 and FMA
@@ -117,6 +120,15 @@ def stderr_fault(returncode: int, stderr: bytes) -> str | None:
     return None
 
 
+def is_stdlib_json_text(path: Path) -> bool:
+    """Whether the file holds ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    except ValueError:
+        return False
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -130,7 +142,8 @@ def main(argv=None) -> int:
     if any(out.iterdir()):
         print(f"golden: {out} is not empty", file=sys.stderr)
         return 1
-    for name, doc in {**CONFIGS, **FIELDS}.items():
+    inputs = {**CONFIGS, **FIELDS}
+    for name, doc in inputs.items():
         (out / name).write_text(json.dumps(doc))
     print(f"numpy {numpy.__version__}", *(f"{k}={v}" for k, v in CPU_PIN.items()), sep="; ")
     env = {**os.environ, **CPU_PIN}
@@ -146,7 +159,10 @@ def main(argv=None) -> int:
             faults.append(f"golden: [{i:02d} {' '.join(args)}] {fault}")
     for p in sorted(out.rglob("*")):
         if p.is_file():
-            print(f"{sha256(p.read_bytes())}  {p.relative_to(out).as_posix()}")
+            name = p.relative_to(out).as_posix()
+            print(f"{sha256(p.read_bytes())}  {name}")
+            if p.suffix == ".json" and name not in inputs and not is_stdlib_json_text(p):
+                faults.append(f"golden: {name} is not indented, key-sorted stdlib JSON text")
     for fault in faults:
         print(fault, file=sys.stderr)
     return 1 if faults else 0
