@@ -52,6 +52,7 @@ CONFIGS = {
     "cfg_b012.json": dict(b_list=[0, 1, 2], n_list=[25, 60], trials=10, base_seed=5),
     "cfg_b48.json": dict(b_list=[4, 8], n_list=[17, 40, 120], trials=12, base_seed=6),
     "cfg_fixed.json": dict(b_list=[3], n_list=[7, 90], trials=12, base_seed=8, field_source=FIELD),
+    "cfg_seed64.json": dict(b_list=[1, 3], n_list=[50, 200], trials=9, base_seed=2**64 - 59),
 }
 
 # fields that gen-field does not draw: a complex one, and a real one whose magnitudes sum to 2
@@ -103,6 +104,8 @@ COMMANDS = [
      "--grid", "512", "--seed", "8"),
     # enough values that samples.csv spans more than one formatted chunk
     ("sample", "--field", "field_complex.json", "--n", "10000", "--seed", "9", "--out", "smp_big"),
+    # a base seed of two 32-bit words, so the trial index is a fifth SeedSequence word
+    ("mse-sweep", "--config", "cfg_seed64.json", "--out", "sweep_seed64"),
 ]
 
 
