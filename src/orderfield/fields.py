@@ -192,19 +192,22 @@ def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
     return FourierCoefficients(_grid_to_coeffs(build_dft_matrix(b), g))
 
 
-def _field_draws(b: int, rng: np.random.Generator) -> tuple:
-    """The generator calls of one `random_field`, in order: magnitudes, phases and
-    the uniform that picks the sign of the centre term."""
+def _field_draws(b: int, rng: np.random.Generator) -> np.ndarray:
+    """The generator draws of one `random_field`, in one row of 2b+2: b+1 magnitudes,
+    b phases and the uniform that picks the sign of the centre term."""
     _check_bandwidth(b)
+    # random(k) draws k doubles in turn, so this is random(b+1), random(b), random();
     # uniform(0, high, k) is 0.0 + high * random(k), bit for bit, without uniform's checks
-    mags = rng.random(b + 1)
-    phases = 2.0 * np.pi * rng.random(b)
-    return mags, phases, rng.random()
+    u = rng.random(2 * b + 2)
+    u[b + 1 : 2 * b + 1] *= 2.0 * np.pi
+    return u
 
 
-def _fields_from_draws(b: int, draws) -> np.ndarray:
-    """The checked ``(T, 2b+1)`` coefficient stack built from T trials' `_field_draws`."""
-    mags, phases, sign_u = (np.array(d) for d in zip(*draws))
+def _fields_from_draws(b: int, draws: np.ndarray) -> np.ndarray:
+    """The checked ``(T, 2b+1)`` coefficient stack built from T trials' `_field_draws`
+    rows, stacked as a ``(T, 2b+2)`` array."""
+    draws = np.asarray(draws, dtype=np.float64)
+    mags, phases, sign_u = draws[:, : b + 1], draws[:, b + 1 : 2 * b + 1], draws[:, -1]
     c = np.empty((mags.shape[0], 2 * b + 1), dtype=np.complex128)
     c[:, b] = np.where(sign_u < 0.5, 1.0, -1.0) * mags[:, 0]
     c[:, b + 1 :] = mags[:, 1:] * np.exp(1j * phases)

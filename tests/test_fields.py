@@ -214,7 +214,7 @@ def test_random_field_and_stacked_fields_equal_the_loop_bitwise(b):
 
 def test_stacked_fields_with_all_zero_magnitudes_are_the_unit_centre_field():
     b = 2
-    zero = (np.zeros(b + 1), np.ones(b), 0.9)
+    zero = np.concatenate((np.zeros(b + 1), np.ones(b), [0.9]))
     live = _field_draws(b, np.random.default_rng(5))
     c = _fields_from_draws(b, [zero, live, zero])
     unit = np.eye(2 * b + 1, dtype=np.complex128)[b]
@@ -225,7 +225,7 @@ def test_stacked_fields_with_all_zero_magnitudes_are_the_unit_centre_field():
 
 def test_stacked_fields_reject_a_non_finite_draw():
     live = _field_draws(1, np.random.default_rng(0))
-    nan_draw = (np.array([0.5, np.nan]), np.array([0.3]), 0.2)
+    nan_draw = np.array([0.5, np.nan, 0.3, 0.2])
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             _fields_from_draws(1, [live, nan_draw, live])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from orderfield import (
 )
 from orderfield import cli
 from orderfield.fields import MAX_BANDWIDTH, FourierCoefficients
-from orderfield.harness import SWEEP_CSV_HEADER, _cell_distortions
+from orderfield.harness import SWEEP_CSV_HEADER, _cell_distortions, _trial_seeds, _TrialSeed
 from orderfield.io import dumps_json, matrix_to_json
 
 
@@ -44,6 +45,10 @@ def test_config_rejects_bad_shapes():
         small_config(n_list=[])
     with pytest.raises(ValueError):
         small_config(trials=0)
+    # a trial index must be one 32-bit SeedSequence word; such configs are never run
+    assert small_config(trials=2**32 - 1).trials == 2**32 - 1
+    with pytest.raises(ValueError, match=r"trials must lie in \[1, 2\^32\), got 4294967296"):
+        small_config(trials=2**32)
     with pytest.raises(ValueError):
         small_config(b_list=[-1])
     with pytest.raises(ValueError):
@@ -144,9 +149,11 @@ def test_rank_only_trials_equal_the_full_path(b, fixed_field, complex_random_fie
     if fixed_field:
         fixed = complex_random_field(b, np.random.default_rng(40 + b))
     for n in sorted({2 * b + 1, 2 * b + 2, 50, 333, 1000}):
-        cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=12, base_seed=17 + n)
-        rank_only = _cell_distortions(cfg, b, n, fixed)
-        assert rank_only.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()
+        # a one-word and a two-word base seed: 4 and 5 SeedSequence words per trial
+        for base_seed in (17 + n, 2**64 - 17 - n):
+            cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=12, base_seed=base_seed)
+            rank_only = _cell_distortions(cfg, b, n, fixed)
+            assert rank_only.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()
 
 
 def test_rank_only_trials_match_the_full_path_at_large_n():
@@ -164,6 +171,43 @@ def test_batched_cell_equals_the_full_path_above_16384_values(fixed_field, compl
     cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=2400, base_seed=11)
     batched = _cell_distortions(cfg, b, n, fixed)
     assert batched.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()
+
+
+def _seed_sequence_states(base_seed, b, n, trials):
+    return np.stack([
+        np.random.SeedSequence((base_seed, b, n, i)).generate_state(4, np.uint64)
+        for i in range(trials)
+    ])
+
+
+@pytest.mark.parametrize("base_seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 20260822])
+def test_trial_seeds_equal_a_seed_sequence_per_trial(base_seed):
+    # one or two words of base seed and of n: 3, 4 or 5 words before the trial's own
+    for b, n, trials in itertools.product((0, 1024), (1, 100, 2**32, 2**40), (1, 2, 37)):
+        states = _trial_seeds(base_seed, b, n, trials)
+        assert states.dtype == np.uint64 and states.shape == (trials, 4)
+        expected = _seed_sequence_states(base_seed, b, n, trials)
+        assert states.tobytes() == expected.tobytes(), (b, n, trials)
+
+
+@pytest.mark.parametrize("base_seed", [20260822, 2**64 - 59])
+def test_trial_seed_generators_draw_as_seed_sequence_generators(base_seed):
+    b, n = 3, 200
+    states = _trial_seeds(base_seed, b, n, 4)
+    for i in range(4):
+        ours = np.random.Generator(np.random.PCG64(_TrialSeed(states[i])))
+        ref = np.random.default_rng(np.random.SeedSequence((base_seed, b, n, i)))
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours.random(10).tobytes() == ref.random(10).tobytes()
+
+
+def test_trial_seed_refuses_other_requests():
+    seed = _TrialSeed(_trial_seeds(5, 1, 10, 1)[0])
+    expected = _seed_sequence_states(5, 1, 10, 1)[0]
+    assert seed.generate_state(4, np.uint64).tobytes() == expected.tobytes()
+    for n_words, dtype in [(8, np.uint32), (4, np.uint32), (2, np.uint64), (8, np.uint64)]:
+        with pytest.raises(ValueError, match="a trial seed holds 4 uint64 words"):
+            seed.generate_state(n_words, dtype)
 
 
 def test_loglog_slope_recovers_exact_power_law():
@@ -386,6 +430,27 @@ def test_cli_rejects_non_finite_theta_and_out_of_range_seeds(tmp_path, run_cli):
                 cwd=tmp_path)
     assert (r.returncode, r.stderr) == (0, ""), r.stderr
     assert json.loads(r.stdout)["distortion_between_fields"] == 0.0
+
+
+def test_cli_rejects_trial_counts_of_2_to_the_32(tmp_path, capsys):
+    # in-process: each command exits 2 at the config check, before any trial runs
+    good = tmp_path / "cfg.json"
+    good.write_text(json.dumps(dict(b_list=[1], n_list=[50], trials=2, base_seed=1)))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(b_list=[1], n_list=[50], trials=2**32, base_seed=1)))
+    for args in [
+        ("mse-sweep", "--config", str(bad), "--out", str(tmp_path / "o")),
+        ("clt-check", "--config", str(bad), "--out", str(tmp_path / "o")),
+        ("mse-sweep", "--config", str(good), "--out", str(tmp_path / "o"),
+         "--trials", str(2**32)),
+    ]:
+        assert cli.main(list(args)) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "", args
+        assert err.splitlines() == [
+            "orderfield: error: trials must lie in [1, 2^32), got 4294967296"
+        ], args
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_bandwidths_above_the_cap(tmp_path, capsys, cosine_field):
