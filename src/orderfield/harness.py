@@ -1,20 +1,19 @@
 """Experiment orchestration: seeded Monte Carlo sweeps and report files.
 
-Trial i of a sweep cell draws from a PCG64 seeded as by
-``SeedSequence((base_seed, b, n, i))``, so any cell of any sweep can be
-reproduced in isolation and the outputs are byte-identical at every worker
+Each sweep cell seeds one ``SeedSequence((base_seed, b, n))``, and row i of
+its output states (`_trial_seeds`) seeds trial i's PCG64, so any cell of any
+sweep can be reproduced in isolation, the first T trials of a cell do not
+depend on its trial count, and the outputs are byte-identical at every worker
 count: workers only compute, and results are merged in trial order before any
-reduction.  The cell derives all its trials' PCG64 states in one array pass
-(`_trial_seeds`), bit for bit equal to those SeedSequences'.  A trial keeps
-only its field's raw generator draws and the 2b+1 ranked locations of its
-deployment (`quantile_locations`); the cell then builds and checks all its
-fields in one array step and estimates them in another (`estimate_at`).
+reduction.  A trial keeps only its field's raw generator draws and the 2b+1
+ranked locations of its deployment (`quantile_locations`); the cell then
+builds and checks all its fields in one array step and estimates them in
+another (`estimate_at`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -26,15 +25,15 @@ from .ambiguity import AmbiguityReport, ambiguity_demo
 from .asymptotics import clt_empirical_check
 from .estimator import distortion_bound, estimate_at
 from .fields import (
-    FourierCoefficients, _check_bandwidth, _field_draws, _fields_from_draws, _freeze,
-    load_field, random_field,
+    FourierCoefficients, _check_bandwidth, _field_draws, _fields_from_draws, load_field,
+    random_field,
 )
 from .io import as_int, read_json, to_json, write_csv_lines, write_json
 from .parallel import trial_map
 from .sampling import deploy, quantile_locations
 
 MAX_SEED = 2**64
-MAX_TRIALS = 2**32  # a trial index is one 32-bit SeedSequence word
+MAX_TRIALS = 2**32  # a cap on a config's trial count, far beyond what a run can hold
 
 SWEEP_CSV_HEADER = "b,n,trials,mean_distortion,stderr,n_times_mse,bound"
 
@@ -153,89 +152,14 @@ def _resolve_field(cfg: ExperimentConfig):
     return field
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx), whose output NEP 19 keeps fixed
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-
-
-@functools.lru_cache(maxsize=8)
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """``init * mult**k`` mod 2^32 for k = 0..count as uint32: SeedSequence's k-th
-    hash call xors its value with constant k and multiplies it by constant k+1."""
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & 0xFFFFFFFF)
-    return _freeze(np.array(h, dtype=np.uint32))
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    v = (values ^ xor) * mult
-    return v ^ (v >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return r ^ (r >> _XSHIFT)
-
-
-@functools.lru_cache(maxsize=1)
-def _pool_rounds() -> tuple:
-    """For each source word of SeedSequence's pool mixing, the (xor, mult) hash
-    constants at the other 3 words it mixes into, and zeros at the source word."""
-    h = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-    rounds = []
-    for src in range(_POOL_SIZE):
-        k = _POOL_SIZE + (_POOL_SIZE - 1) * src
-        xor, mult = np.zeros((2, _POOL_SIZE), dtype=np.uint32)
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        xor[dst], mult[dst] = h[k : k + 3], h[k + 1 : k + 4]
-        rounds.append((_freeze(xor), _freeze(mult)))
-    return tuple(rounds)
-
-
-def _seed_words(x: int) -> int:
-    """How many 32-bit words SeedSequence splits the integer ``x`` into."""
-    return max(1, -(-x.bit_length() // 32))
-
-
 def _trial_seeds(base_seed: int, b: int, n: int, trials: int) -> np.ndarray:
-    """The ``(trials, 4)`` uint64 array whose row i is
-    ``SeedSequence((base_seed, b, n, i)).generate_state(4, np.uint64)``.
-
-    SeedSequence hashes its entropy words into a pool of 4 words, mixing every
-    pool word into every other, then takes in each further word; its output
-    hashes the pool out.  Both run here as array steps over the trials.
-    """
-    words = _seed_words(base_seed) + _seed_words(b) + _seed_words(n)
-    i = np.arange(trials, dtype=np.uint32)[:, None]
-    h = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (words + 1))
-    if words >= _POOL_SIZE:
-        # numpy's pool for (base_seed, b, n) takes in i as one more word, hashed with
-        # the constants after the 4 + 12 calls of the first 4 words and 4 per later word
-        k = _POOL_SIZE * words
-        pool = np.random.SeedSequence((base_seed, b, n)).pool
-        pool = _mix(pool, _hashmix(i, h[k : k + 4], h[k + 1 : k + 5]))
-    else:
-        # (base_seed, b, n, i) are the 4 pool words, so the trials differ from the start
-        entropy = np.empty((trials, _POOL_SIZE), dtype=np.uint32)
-        entropy[:, :3] = (base_seed, b, n)
-        entropy[:, 3:] = i
-        pool = _hashmix(entropy, h[:4], h[1:5])
-        for src, (xor, mult) in enumerate(_pool_rounds()):
-            mixed = _mix(pool, _hashmix(pool[:, src : src + 1], xor, mult))
-            mixed[:, src] = pool[:, src]  # no word mixes into itself
-            pool = mixed
-    # 8 output words, cycling twice through the pool, read as 4 little-endian uint64
-    h = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    out = _hashmix(np.concatenate((pool, pool), axis=1), h[:-1], h[1:])
-    return out.astype("<u4").view("<u8").astype(np.uint64)
+    """Trial i's PCG64 state as row i, which does not depend on ``trials``."""
+    ss = np.random.SeedSequence((base_seed, b, n))
+    return ss.generate_state(4 * trials, np.uint64).reshape(trials, 4)
 
 
 class _TrialSeed(ISeedSequence):
-    """One row of `_trial_seeds`, given to PCG64 in place of the trial's SeedSequence."""
+    """One row of `_trial_seeds`, given to PCG64 in place of a SeedSequence."""
 
     def __init__(self, state: np.ndarray):
         self.state = state

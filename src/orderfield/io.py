@@ -33,7 +33,10 @@ def pairs_to_json(values) -> list:
 
 def pairs_from_json(doc) -> np.ndarray:
     """Inverse of `pairs_to_json`; raises TypeError or ValueError when malformed."""
-    return np.array([complex(re, im) for re, im in doc], dtype=np.complex128)
+    pairs = [(re, im) for re, im in doc]
+    if any(isinstance(x, bool) for p in pairs for x in p):  # complex() reads them as 1, 0
+        raise ValueError("pair parts must be numbers, not true or false")
+    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

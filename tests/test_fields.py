@@ -16,6 +16,7 @@ from orderfield import (
     save_field,
 )
 from orderfield.fields import MAX_BANDWIDTH, _check_coeffs, _field_draws, _fields_from_draws
+from orderfield.io import pairs_from_json
 
 
 def naive_eval(coeffs, b, t):
@@ -281,6 +282,15 @@ def test_from_json_dict_rejects_malformed():
             FourierCoefficients.from_json_dict(
                 {"b": b, "real_valued": real_valued, "coeffs": coeffs}
             )
+
+
+def test_from_json_dict_rejects_boolean_coefficient_parts():
+    # complex(True, False) is 1+0j: a JSON true must not read as the number 1
+    for coeffs in ([[True, False]], [[0.5, 0.0], [1, False], [0.5, 0.0]]):
+        doc = {"b": (len(coeffs) - 1) // 2, "real_valued": True, "coeffs": coeffs}
+        with pytest.raises(ValueError, match="pair parts must be numbers, not true or false"):
+            FourierCoefficients.from_json_dict(doc)
+    assert pairs_from_json([[1, 0], [0.5, -2]]).tolist() == [1 + 0j, 0.5 - 2j]
 
 
 def test_from_json_dict_checks_the_document_b_and_real_valued_claim():

@@ -104,7 +104,7 @@ COMMANDS = [
      "--grid", "512", "--seed", "8"),
     # enough values that samples.csv spans more than one formatted chunk
     ("sample", "--field", "field_complex.json", "--n", "10000", "--seed", "9", "--out", "smp_big"),
-    # a base seed of two 32-bit words, so the trial index is a fifth SeedSequence word
+    # a base seed of two 32-bit words, so a cell's SeedSequence takes four words
     ("mse-sweep", "--config", "cfg_seed64.json", "--out", "sweep_seed64"),
 ]
 
