@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierCoefficients, eval_field, _freeze
+from .sampling import _check_sample_count
 
 VALUE_IMAG_TOL = 1e-8
 
@@ -137,8 +138,7 @@ def ambiguity_demo(
     (sup difference again), and the exact squared L2 distance between the
     two fields shows they differ as functions.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    _check_sample_count(n)
     shifted = shift_field(c, theta)
     xs = default_threshold_grid()
     if not c.bounded:

@@ -175,8 +175,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "ambiguity-demo" and not args.field and args.b is None:
-        parser.error("one of --field or --b is required")
+    if args.command == "ambiguity-demo" and (args.b is None) == (not args.field):
+        parser.error("exactly one of --field or --b is required")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -28,7 +28,7 @@ from .fields import (
     FourierCoefficients, _check_bandwidth, _field_draws, _fields_from_draws, load_field,
     random_field,
 )
-from .io import as_int, read_json, to_json, write_csv_lines, write_json
+from .io import as_int, read_json, to_json, write_csv_lines, write_float_csv, write_json
 from .parallel import trial_map
 from .sampling import deploy, quantile_locations
 
@@ -297,9 +297,9 @@ def run_ambiguity_demo(
             ("empirical_original", report.empirical_cdf_original),
             ("empirical_shifted", report.empirical_cdf_shifted),
         ):
-            write_csv_lines(
+            write_float_csv(
                 os.path.join(output_dir, f"ambiguity_{name}.csv"), "x,cdf",
-                (f"{x:.17g},{y:.17g}" for x, y in zip(report.thresholds, ys)),
+                np.column_stack((report.thresholds, ys)),
             )
     return report
 

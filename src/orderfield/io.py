@@ -5,14 +5,29 @@ trailing newline: the text `dumps_json` returns is exactly that of
 ``json.dumps(doc, indent=2, sort_keys=True)``, with ASCII-escaped strings,
 ``repr`` numbers, ``true``/``false``/``null``, and ``NaN``, ``Infinity`` and
 ``-Infinity`` for non-finite floats.  Report CSVs are one comma-separated
-line per row with ``\\n`` line ends.  Every JSON document and report CSV
-the package writes goes through here.  (``samples.csv`` is written by
-`sampling.save_samples`, ``%.17g`` per part with ``\\r\\n`` line ends.)
-"""
+line per row.  Every JSON document and CSV the package writes goes through
+here: `write_float_csv` writes the float CSVs (``samples.csv`` with
+``\\r\\n`` line ends, the ``ambiguity_*.csv`` curves with ``\\n``), each
+value exactly as ``'%.17g' % v``, and `write_csv_lines` the pre-formatted
+rows of ``sweep.csv``.
 
+``'%.17g'`` is exact but slow in Python (17 digits take dtoa's bignum path),
+so `_g17_block` formats a block of float64 values with array operations.
+For each value it takes the decimal exponent k from ``log10`` (corrected by
+one when off), forms |v|·10^(16-k) as a double-double with Dekker's
+error-free product and a two-double power of ten rounded from exact
+integers, and rounds that to 17 digits, half to even.  The error of the
+double-double is below 2^-46, so a rounding whose fraction lies more than
+2^-36 from one half is the exact one; a value closer to a tie, zero-free
+values outside 10^±279 (subnormals included) and non-finite values are
+formatted by Python instead.  The digits are laid out by the ``%g`` rules
+(fixed notation for -4 <= k < 17, else ``d.ddde±XX``, trailing zeros
+dropped), so every byte equals Python's.
+"""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from itertools import chain
@@ -160,6 +175,174 @@ def write_json(path, doc) -> None:
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def write_float_csv(path, header: str, table, line_end: str = "\n", chunk_rows: int = 4096) -> None:
+    """Write a header line and the rows of a 2-D float table as ``%.17g`` CSV.
+
+    Values are separated by ``,`` and rows end in ``line_end``.  Rows are
+    formatted ``chunk_rows`` at a time, so memory beyond the table stays
+    bounded by one chunk (about 300 bytes per value).
+    """
+    table = np.asarray(table, np.float64)
+    with open(path, "wb") as fh:
+        fh.write((header + line_end).encode())
+        for start in range(0, len(table), chunk_rows):
+            block = table[start : start + chunk_rows].ravel()
+            fh.write(_g17_block(block, table.shape[1], line_end))
+
+
+_G17_KMAX = 280  # the largest |k| of the vector path
+_G17_TIE = 2.0**-36  # roundings this close to a tie are left to Python
+_G17_WIDTH = 26  # the longest cell: 24 bytes of text and a two-byte line end
+_G17_KEYS = 2 * 23 * 17 * 3  # layouts: sign, notation, last digit, separator
+_SPLIT = 2.0**27 + 1  # Dekker's splitter for float64
+
+
+@functools.lru_cache(maxsize=None)
+def _g17_tables():
+    """Tables of `_g17_block`, built on its first call and read-only.
+
+    Two-double powers 10^(16-k) for |k| <= _G17_KMAX + 1 (the high part split
+    for Dekker's product), the four ASCII digits of each number below 10^4
+    and its trailing zeros, exponent texts, and for each layout key the
+    source byte of every output byte (see `_g17_block`).
+    """
+    pow10 = []
+    for e in range(15 - _G17_KMAX, 18 + _G17_KMAX):
+        p = 10 ** abs(e)
+        if e >= 0:
+            hi = float(p)
+            lo = float(p - int(hi))
+        else:
+            hi = 1 / p
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * p) / (den * p)
+        pow10.append((hi, lo))
+    hi, lo = np.array(pow10).T
+    t = hi * _SPLIT
+    hi_hi = t - (t - hi)
+    i = np.arange(10000, dtype=np.int32)
+    digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], 1).astype(np.uint8) + 48
+    zeros = np.select([i == 0, i % 1000 == 0, i % 100 == 0, i % 10 == 0], [4, 3, 2, 1], 0)
+    x = np.arange(-300, 301)
+    exps = np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in x.tolist()), np.uint64)
+    # layout key ((sign * 23 + notation) * 17 + last digit) * 3 + separator, where
+    # notation is k + 4 in fixed, 21 or 22 (3-digit exponent) in scientific notation
+    notation = np.where((x >= -4) & (x <= 16), x + 4, np.where(np.abs(x) < 100, 21, 22))
+    key = np.arange(_G17_KEYS, dtype=np.int16)[:, None]
+    sep, last, m, neg = key % 3, key // 3 % 17, key // 51 % 23, key // 1173
+    fixed = m <= 20
+    lead = np.where(fixed, np.maximum(4 - m, 0), 0)  # zeros before the digits
+    point = np.where(fixed, np.maximum(m - 4, 0) + 1, 1)  # digits before the point
+    frac = lead + last >= point
+    mant = np.where(frac, lead + last + 2, point)
+    text = neg + mant + np.where(fixed, 0, m - 17)
+    c = np.arange(_G17_WIDTH, dtype=np.int16)
+    u = c - neg
+    j = u - (frac & (u > point)) - lead  # digit index
+    src = np.select(
+        [u < 0, frac & (u == point), (u < mant) & (j < 0), u < mant, c < text,
+         c > text + (sep == 2), sep == 0, sep == 1],
+        [_MINUS, _DOT, _ZERO, 3 + j, 24 + u - mant, _NUL, _COMMA, _LF],
+        _CR + c - text,
+    )
+    layout = np.vstack((src, c)).astype(np.intp)  # the last key copies the row as it is
+    tables = (hi, hi_hi, hi - hi_hi, lo, digits.view(np.uint32).ravel(),
+              zeros.astype(np.int32), exps, notation * 51, layout,
+              np.frombuffer(b"0.-,\r\n\0\0", np.uint64))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+# a value's 40-byte source row: 17 digits from byte 3, the exponent text from
+# byte 24, then the bytes 0.-,\r\n and NUL
+_ZERO, _DOT, _MINUS, _COMMA, _CR, _LF, _NUL = range(32, 39)
+
+
+def _scaled(a, k, tables):
+    """|v|·10^(16-k) as a normalised double-double ``(hi, lo)``."""
+    hi, hi_hi, hi_lo, lo = (t.take(_G17_KMAX + 1 - k) for t in tables[:4])
+    p = a * hi
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    err = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
+    err += a * lo
+    s = p + err
+    return s, err - (s - p)
+
+
+def _g17_python(values) -> list:
+    """``'%.17g' % v`` for the values the vector path leaves to Python."""
+    return ["%.17g" % v for v in values]
+
+
+def _g17_block(values: np.ndarray, ncols: int, line_end: str) -> bytes:
+    """``'%.17g' % v`` for each float64 value, then ``,``, or ``line_end`` after
+    every ``ncols``-th value; the size must be a multiple of ``ncols``.
+
+    Each value gets a 40-byte source row (its 17 digits, exponent text and
+    the punctuation) and a layout key; the key's table row names the source
+    byte of each output byte, with NUL bytes after the end, which are dropped.
+    """
+    *_, digits, zeros, exps, notation, layout, constants = tables = _g17_tables()
+    n = values.size
+    a = np.abs(values)
+    ok = (a >= 1e-279) & (a <= 1e279)
+    a[~ok] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, k, tables)
+    off = (hi >= 1e17).astype(np.int64) - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+    fix = np.flatnonzero(off)
+    if fix.size:  # log10 was one off: scale again
+        k[fix] += off[fix]
+        h, l = hi[fix], lo[fix] = _scaled(a[fix], k[fix], tables)
+        ok[fix] &= (h < 1e17) & ((h > 1e16) | ((h == 1e16) & (l >= 0)))
+    whole = np.floor(lo)
+    lo -= whole
+    d = hi.astype(np.int64) + whole.astype(np.int64) + (lo > 0.5)
+    zero = values == 0
+    slow = ~(ok & (np.abs(lo - 0.5) > _G17_TIE) | zero)
+    d[zero | slow] = 0
+    k[zero | slow] = 0
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry + 300
+    high = d // 10**8
+    low = (d - high * 10**8).astype(np.int32)
+    high = high.astype(np.int32)
+    top = high // 10**4
+    last4 = low % 10**4
+    rows = np.empty((n, 5), np.uint64)
+    quads = rows.view(np.uint32)
+    quads[:, 0] = digits[top // 10**4]
+    quads[:, 1] = digits[top % 10**4]
+    quads[:, 2] = digits[high % 10**4]
+    quads[:, 3] = digits[low // 10**4]
+    quads[:, 4] = digits[last4]
+    rows[:, 3] = exps[k]
+    rows[:, 4] = constants
+    text = rows.view(np.uint8)
+    last = 16 - zeros[last4]
+    more = np.flatnonzero(last4 == 0)
+    if more.size:
+        last[more] = 16 - np.argmax(text[more, 19:2:-1] != 48, axis=1)
+    last[zero] = 0
+    seps = np.zeros(ncols, np.int64)
+    seps[-1] = len(line_end)
+    key = notation[k] + last * 3 + np.tile(seps, n // ncols) + np.signbit(values) * 1173
+    idx = np.flatnonzero(slow)
+    if idx.size:
+        key[idx] = _G17_KEYS
+        for i, s in zip(idx.tolist(), _g17_python(values[idx].tolist())):
+            s += line_end if i % ncols == ncols - 1 else ","
+            text[i, :_G17_WIDTH] = np.frombuffer(s.encode().ljust(_G17_WIDTH, b"\0"), np.uint8)
+    cells = layout.take(key, axis=0)
+    cells += np.arange(0, 40 * n, 40)[:, None]
+    out = text.ravel().take(cells)
+    return out[out != 0].tobytes()
 
 
 def write_csv_lines(path, header: str, lines) -> None:

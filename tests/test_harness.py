@@ -28,7 +28,7 @@ from orderfield.estimator import estimate_at
 from orderfield.fields import MAX_BANDWIDTH, FourierCoefficients
 from orderfield.harness import SWEEP_CSV_HEADER, _cell_distortions, _trial_seeds, _TrialSeed
 from orderfield.io import dumps_json, matrix_to_json
-from orderfield.sampling import quantile_indices
+from orderfield.sampling import MAX_SAMPLES, quantile_indices
 
 
 def small_config(**overrides):
@@ -382,6 +382,7 @@ def test_cli_usage_errors_exit_1(tmp_path, run_cli):
         ("gen-field", "--b", "1", "--bogus-flag"),
         ("estimate", "--n", "100"),
         ("ambiguity-demo", "--theta", "0.1"),
+        ("ambiguity-demo", "--field", "field.json", "--b", "1"),
     ]:
         r = run_cli(*args, cwd=tmp_path)
         assert r.returncode == 1, f"{args}: {r.stderr}"
@@ -497,6 +498,25 @@ def test_cli_rejects_bandwidths_above_the_cap(tmp_path, capsys, cosine_field):
         assert out == "", args
         assert err.splitlines() == [
             f"orderfield: error: bandwidth index must be <= {MAX_BANDWIDTH}, got {big}"
+        ], args
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_rejects_sample_counts_above_the_cap(tmp_path, capsys, cosine_field):
+    # in-process: each command exits 2 at the count check, before anything of size n exists
+    field_path = tmp_path / "field.json"
+    save_field(cosine_field, field_path)
+    big = str(MAX_SAMPLES + 1)
+    for args in [
+        ("sample", "--field", str(field_path), "--n", big, "--out", str(tmp_path / "o")),
+        ("estimate", "--field", str(field_path), "--n", big),
+        ("ambiguity-demo", "--field", str(field_path), "--n", big),
+    ]:
+        assert cli.main(list(args)) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "", args
+        assert err.splitlines() == [
+            f"orderfield: error: sample count must lie in [1, {MAX_SAMPLES}], got {big}"
         ], args
     assert not (tmp_path / "o").exists()
 

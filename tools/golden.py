@@ -55,13 +55,20 @@ CONFIGS = {
     "cfg_seed64.json": dict(b_list=[1, 3], n_list=[50, 200], trials=9, base_seed=2**64 - 59),
 }
 
-# fields that gen-field does not draw: a complex one, and a real one whose magnitudes sum to 2
+# fields that gen-field does not draw: a complex one, a real one whose magnitudes sum to 2, and
+# 4e19 (1 - cos 2 pi t)^2 + 1e-7 i, whose real parts run from about 1e4 near t = 0 to 1.6e20 and
+# whose imaginary parts are rounding noise of that sum, of order 1e2 (so no value is below 1e-4;
+# the imaginary parts in smp/samples.csv, of order 1e-17, are scientific with negative exponents)
 FIELDS = {
     "field_complex.json": dict(
         b=1, real_valued=False, coeffs=[[0.2, 0.1], [0.3, 0.0], [-0.1, 0.25]]
     ),
     "field_unbounded.json": dict(
         b=1, real_valued=True, coeffs=[[0.5, 0.0], [1.0, 0.0], [0.5, 0.0]]
+    ),
+    "field_wide.json": dict(
+        b=2, real_valued=False,
+        coeffs=[[1e19, 0.0], [-4e19, 0.0], [6e19, 1e-7], [-4e19, 0.0], [1e19, 0.0]],
     ),
 }
 
@@ -106,6 +113,8 @@ COMMANDS = [
     ("sample", "--field", "field_complex.json", "--n", "10000", "--seed", "9", "--out", "smp_big"),
     # a base seed of two 32-bit words, so a cell's SeedSequence takes four words
     ("mse-sweep", "--config", "cfg_seed64.json", "--out", "sweep_seed64"),
+    # samples.csv in fixed notation with integer digits and in scientific notation (e+17 to e+20)
+    ("sample", "--field", "field_wide.json", "--n", "400", "--seed", "3", "--out", "smp_wide"),
 ]
 
 
