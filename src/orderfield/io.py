@@ -4,26 +4,18 @@ JSON documents are written with two-space indent, sorted keys and a
 trailing newline: the text `dumps_json` returns is exactly that of
 ``json.dumps(doc, indent=2, sort_keys=True)``, with ASCII-escaped strings,
 ``repr`` numbers, ``true``/``false``/``null``, and ``NaN``, ``Infinity`` and
-``-Infinity`` for non-finite floats.  Report CSVs are one comma-separated
-line per row.  Every JSON document and CSV the package writes goes through
-here: `write_float_csv` writes the float CSVs (``samples.csv`` with
-``\\r\\n`` line ends, the ``ambiguity_*.csv`` curves with ``\\n``), each
-value exactly as ``'%.17g' % v``, and `write_csv_lines` the pre-formatted
-rows of ``sweep.csv``.
-
-``'%.17g'`` is exact but slow in Python (17 digits take dtoa's bignum path),
-so `_g17_block` formats a block of float64 values with array operations.
-For each value it takes the decimal exponent k from ``log10`` (corrected by
-one when off), forms |v|·10^(16-k) as a double-double with Dekker's
-error-free product and a two-double power of ten rounded from exact
-integers, and rounds that to 17 digits, half to even.  The error of the
-double-double is below 2^-46, so a rounding whose fraction lies more than
-2^-36 from one half is the exact one; a value closer to a tie, zero-free
-values outside 10^±279 (subnormals included) and non-finite values are
-formatted by Python instead.  The digits are laid out by the ``%g`` rules
-(fixed notation for -4 <= k < 17, else ``d.ddde±XX``, trailing zeros
-dropped), so every byte equals Python's.
+``-Infinity`` for non-finite floats.  Every JSON document and CSV the
+package writes goes through here, a CSV as one comma-separated line per row.
+`write_float_csv`, the one writer of float CSVs (``samples.csv``, the
+``ambiguity_*.csv`` curves), gives each value exactly ``'%.17g' % v`` with
+array operations, a chunk of rows at a time (about 270 bytes per value):
+|v|·10^(16-k), k the exact decimal exponent, as a double-double (Dekker's
+product by a two-double power of ten rounded from exact integers; error
+below 2^-46), rounded half to even to 17 digits and laid out by the ``%g``
+rules.  Values within 2^-36 of a rounding tie, non-finite values and nonzero
+magnitudes outside [1e-279, 1e279] get Python's own ``%``.
 """
+
 from __future__ import annotations
 
 import dataclasses
@@ -177,101 +169,45 @@ def read_json(path):
         return json.load(fh)
 
 
-def write_float_csv(path, header: str, table, line_end: str = "\n", chunk_rows: int = 4096) -> None:
-    """Write a header line and the rows of a 2-D float table as ``%.17g`` CSV.
-
-    Values are separated by ``,`` and rows end in ``line_end``.  Rows are
-    formatted ``chunk_rows`` at a time, so memory beyond the table stays
-    bounded by one chunk (about 300 bytes per value).
-    """
+def write_float_csv(path, header: str, table, line_end="\n", chunk_rows=4096) -> None:
+    """Write a header line and the rows of a 2-D float table, each value exactly
+    ``'%.17g' % v``, ``,`` between values and ``line_end`` after each row."""
     table = np.asarray(table, np.float64)
     with open(path, "wb") as fh:
         fh.write((header + line_end).encode())
         for start in range(0, len(table), chunk_rows):
-            block = table[start : start + chunk_rows].ravel()
-            fh.write(_g17_block(block, table.shape[1], line_end))
+            fh.write(_g17_block(table[start : start + chunk_rows], line_end))
 
 
-_G17_KMAX = 280  # the largest |k| of the vector path
-_G17_TIE = 2.0**-36  # roundings this close to a tie are left to Python
-_G17_WIDTH = 26  # the longest cell: 24 bytes of text and a two-byte line end
-_G17_KEYS = 2 * 23 * 17 * 3  # layouts: sign, notation, last digit, separator
+_OFF = 283  # the tables of `_g17_block` hold decimal exponents k = -_OFF.._OFF at k + _OFF
 _SPLIT = 2.0**27 + 1  # Dekker's splitter for float64
 
 
 @functools.lru_cache(maxsize=None)
 def _g17_tables():
-    """Tables of `_g17_block`, built on its first call and read-only.
-
-    Two-double powers 10^(16-k) for |k| <= _G17_KMAX + 1 (the high part split
-    for Dekker's product), the four ASCII digits of each number below 10^4
-    and its trailing zeros, exponent texts, and for each layout key the
-    source byte of every output byte (see `_g17_block`).
-    """
-    pow10 = []
-    for e in range(15 - _G17_KMAX, 18 + _G17_KMAX):
-        p = 10 ** abs(e)
-        if e >= 0:
-            hi = float(p)
-            lo = float(p - int(hi))
-        else:
-            hi = 1 / p
-            num, den = hi.as_integer_ratio()
-            lo = (den - num * p) / (den * p)
-        pow10.append((hi, lo))
+    """Read-only tables of `_g17_block`, built on its first call."""
+    pow10 = []  # 10^e = hi + lo for -_OFF <= e < 300, both rounded from exact integers
+    for e in range(-_OFF, 300):
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        h_num, h_den = (num / den).as_integer_ratio()
+        pow10.append((num / den, (num * h_den - h_num * den) / (den * h_den)))
     hi, lo = np.array(pow10).T
-    t = hi * _SPLIT
-    hi_hi = t - (t - hi)
-    i = np.arange(10000, dtype=np.int32)
-    digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], 1).astype(np.uint8) + 48
-    zeros = np.select([i == 0, i % 1000 == 0, i % 100 == 0, i % 10 == 0], [4, 3, 2, 1], 0)
-    x = np.arange(-300, 301)
-    exps = np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in x.tolist()), np.uint64)
-    # layout key ((sign * 23 + notation) * 17 + last digit) * 3 + separator, where
-    # notation is k + 4 in fixed, 21 or 22 (3-digit exponent) in scientific notation
-    notation = np.where((x >= -4) & (x <= 16), x + 4, np.where(np.abs(x) < 100, 21, 22))
-    key = np.arange(_G17_KEYS, dtype=np.int16)[:, None]
-    sep, last, m, neg = key % 3, key // 3 % 17, key // 51 % 23, key // 1173
-    fixed = m <= 20
-    lead = np.where(fixed, np.maximum(4 - m, 0), 0)  # zeros before the digits
-    point = np.where(fixed, np.maximum(m - 4, 0) + 1, 1)  # digits before the point
-    frac = lead + last >= point
-    mant = np.where(frac, lead + last + 2, point)
-    text = neg + mant + np.where(fixed, 0, m - 17)
-    c = np.arange(_G17_WIDTH, dtype=np.int16)
-    u = c - neg
-    j = u - (frac & (u > point)) - lead  # digit index
-    src = np.select(
-        [u < 0, frac & (u == point), (u < mant) & (j < 0), u < mant, c < text,
-         c > text + (sep == 2), sep == 0, sep == 1],
-        [_MINUS, _DOT, _ZERO, 3 + j, 24 + u - mant, _NUL, _COMMA, _LF],
-        _CR + c - text,
-    )
-    layout = np.vstack((src, c)).astype(np.intp)  # the last key copies the row as it is
-    tables = (hi, hi_hi, hi - hi_hi, lo, digits.view(np.uint32).ravel(),
-              zeros.astype(np.int32), exps, notation * 51, layout,
-              np.frombuffer(b"0.-,\r\n\0\0", np.uint64))
+    ceil10 = np.where(lo > 0, np.nextafter(hi, np.inf), hi)[: 2 * _OFF + 1]  # least double >= 10^k
+    hi, lo = hi[:15:-1], lo[:15:-1]  # 10^(16 - k)
+    hi_hi = hi * _SPLIT - (hi * _SPLIT - hi)
+    spread = np.zeros((10000, 8), np.uint8)  # '0000'..'9999', a NUL after each digit
+    spread[:, ::2] = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48
+    k = np.arange(-_OFF, _OFF + 1)
+    fixed = (k >= -4) & (k <= 16)
+    texts = [(b"\0" + b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"").ljust(8, b"\0")
+             + (b"" if f else b"e%+03d" % x).ljust(8, b"\0") for x, f in zip(k.tolist(), fixed)]
+    int_last = np.where(fixed, k, 0)  # the index of the last digit before the point
+    tables = [np.frombuffer(b"".join(texts), np.uint64).reshape(-1, 2),  # "0.00", "e+XX"
+              np.array([hi, hi_hi, hi - hi_hi, lo]), ceil10, spread.view(np.uint64).ravel(),
+              int_last, np.where(fixed & ((k < 0) | (k == 16)), 0, 7 + 2 * int_last)]
     for t in tables:
         t.flags.writeable = False
     return tables
-
-
-# a value's 40-byte source row: 17 digits from byte 3, the exponent text from
-# byte 24, then the bytes 0.-,\r\n and NUL
-_ZERO, _DOT, _MINUS, _COMMA, _CR, _LF, _NUL = range(32, 39)
-
-
-def _scaled(a, k, tables):
-    """|v|·10^(16-k) as a normalised double-double ``(hi, lo)``."""
-    hi, hi_hi, hi_lo, lo = (t.take(_G17_KMAX + 1 - k) for t in tables[:4])
-    p = a * hi
-    t = a * _SPLIT
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
-    err = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
-    err += a * lo
-    s = p + err
-    return s, err - (s - p)
 
 
 def _g17_python(values) -> list:
@@ -279,70 +215,49 @@ def _g17_python(values) -> list:
     return ["%.17g" % v for v in values]
 
 
-def _g17_block(values: np.ndarray, ncols: int, line_end: str) -> bytes:
-    """``'%.17g' % v`` for each float64 value, then ``,``, or ``line_end`` after
-    every ``ncols``-th value; the size must be a multiple of ``ncols``.
-
-    Each value gets a 40-byte source row (its 17 digits, exponent text and
-    the punctuation) and a layout key; the key's table row names the source
-    byte of each output byte, with NUL bytes after the end, which are dropped.
-    """
-    *_, digits, zeros, exps, notation, layout, constants = tables = _g17_tables()
-    n = values.size
-    a = np.abs(values)
-    ok = (a >= 1e-279) & (a <= 1e279)
-    a[~ok] = 1.0
-    k = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _scaled(a, k, tables)
-    off = (hi >= 1e17).astype(np.int64) - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
-    fix = np.flatnonzero(off)
-    if fix.size:  # log10 was one off: scale again
-        k[fix] += off[fix]
-        h, l = hi[fix], lo[fix] = _scaled(a[fix], k[fix], tables)
-        ok[fix] &= (h < 1e17) & ((h > 1e16) | ((h == 1e16) & (l >= 0)))
-    whole = np.floor(lo)
-    lo -= whole
-    d = hi.astype(np.int64) + whole.astype(np.int64) + (lo > 0.5)
-    zero = values == 0
-    slow = ~(ok & (np.abs(lo - 0.5) > _G17_TIE) | zero)
-    d[zero | slow] = 0
-    k[zero | slow] = 0
+def _g17_block(block: np.ndarray, line_end: str) -> bytes:
+    """The rows of a 2-D float64 block as CSV text.  Each value fills 48 bytes: sign,
+    "0." and zeros before a fraction, 17 digits each followed by the point or NUL,
+    exponent and separator; digits after the last one to print are NUL, as are gaps."""
+    texts, pow10, ceil10, spread, int_last, point = _g17_tables()
+    ncols, values = block.shape[1], block.ravel()
+    ok = (np.abs(values) >= 1e-279) & (np.abs(values) <= 1e279)
+    a = np.where(ok, np.abs(values), 1.0)
+    i = np.floor(np.log10(a)).astype(np.intp) + _OFF
+    i += (a >= ceil10[i + 1]).astype(np.intp) - (a < ceil10[i])  # now 10^k <= a < 10^(k+1)
+    p_hi, p_hh, p_hl, p_lo = pow10.take(i, axis=1)
+    p = a * p_hi  # an integer above 2^53; a * 10^(16-k) = p + err, with |error| < 2^-46
+    a_hi = a * _SPLIT - (a * _SPLIT - a)
+    a_lo = a - a_hi
+    err = ((a_hi * p_hh - p) + a_hi * p_hl + a_lo * p_hh) + a_lo * p_hl + a * p_lo
+    whole = np.floor(err)
+    err -= whole
+    slow = ~(ok & (np.abs(err - 0.5) > 2.0**-36)) & (values != 0)  # Python's, near a tie
+    d = p.astype(np.int64) + whole.astype(np.int64) + (err > 0.5)
+    d[slow | (values == 0)] = 0
     carry = d == 10**17
-    d[carry] = 10**16
-    k += carry + 300
-    high = d // 10**8
-    low = (d - high * 10**8).astype(np.int32)
-    high = high.astype(np.int32)
-    top = high // 10**4
-    last4 = low % 10**4
-    rows = np.empty((n, 5), np.uint64)
-    quads = rows.view(np.uint32)
-    quads[:, 0] = digits[top // 10**4]
-    quads[:, 1] = digits[top % 10**4]
-    quads[:, 2] = digits[high % 10**4]
-    quads[:, 3] = digits[low // 10**4]
-    quads[:, 4] = digits[last4]
-    rows[:, 3] = exps[k]
-    rows[:, 4] = constants
+    d[carry], i[carry] = 10**16, i[carry] + 1
+    top, high, low = (x.astype(np.int32) for x in (d // 10**16, d // 10**8 % 10**8, d % 10**8))
+    rows = np.empty((len(values), 6), np.uint64)
+    rows[:, [0, 5]] = texts[i]
+    for col, part in ((1, high), (3, low)):
+        rows[:, col], rows[:, col + 1] = (spread[g] for g in np.divmod(part, 10**4))
     text = rows.view(np.uint8)
-    last = 16 - zeros[last4]
-    more = np.flatnonzero(last4 == 0)
-    if more.size:
-        last[more] = 16 - np.argmax(text[more, 19:2:-1] != 48, axis=1)
-    last[zero] = 0
-    seps = np.zeros(ncols, np.int64)
-    seps[-1] = len(line_end)
-    key = notation[k] + last * 3 + np.tile(seps, n // ncols) + np.signbit(values) * 1173
-    idx = np.flatnonzero(slow)
-    if idx.size:
-        key[idx] = _G17_KEYS
-        for i, s in zip(idx.tolist(), _g17_python(values[idx].tolist())):
-            s += line_end if i % ncols == ncols - 1 else ","
-            text[i, :_G17_WIDTH] = np.frombuffer(s.encode().ljust(_G17_WIDTH, b"\0"), np.uint8)
-    cells = layout.take(key, axis=0)
-    cells += np.arange(0, 40 * n, 40)[:, None]
-    out = text.ravel().take(cells)
-    return out[out != 0].tobytes()
+    text.ravel()[np.arange(0, text.size, 48) + point[i]] = ord(".")  # at 0 when there is none
+    text[:, 0] = np.signbit(values) * ord("-")
+    text[:, 6] = top + 48
+    seps = [","] * (ncols - 1) + [line_end]
+    sep_codes = np.frombuffer("".join(x.ljust(2, "\0") for x in seps).encode(), np.uint16)
+    rows.view(np.uint16)[:, 23] = np.tile(sep_codes, len(values) // ncols)
+    tail = np.flatnonzero(low % 10 == 0)  # a trailing zero digit (or more) to drop
+    body = text[tail, 6:40]  # the digits, each with the point or NUL after it
+    nonzero = (body[:, ::2] != 48) | (np.arange(17) == 0)
+    last = np.maximum(16 - np.argmax(nonzero[:, ::-1], axis=1), int_last[i[tail]])
+    body[np.arange(34) > 2 * last[:, None]] = 0
+    text[tail, 6:40] = body
+    for j, s in zip(np.flatnonzero(slow).tolist(), _g17_python(values[slow].tolist())):
+        text[j] = np.frombuffer((s + seps[j % ncols]).encode().ljust(48, b"\0"), np.uint8)
+    return text.tobytes().translate(None, b"\0")
 
 
 def write_csv_lines(path, header: str, lines) -> None:

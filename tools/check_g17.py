@@ -64,7 +64,7 @@ def first_mismatch(values: np.ndarray):
     """``(value, got, want)`` for the first value formatted unlike ``'%.17g' % v``, or None."""
     for start in range(0, values.size, CHUNK):
         chunk = values[start : start + CHUNK]
-        got = io._g17_block(chunk, 1, "\n").decode().split("\n")[:-1]
+        got = io._g17_block(chunk[:, None], "\n").decode().split("\n")[:-1]
         want = ["%.17g" % v for v in chunk.tolist()]
         if got != want:
             i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
