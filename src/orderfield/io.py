@@ -169,16 +169,18 @@ def read_json(path):
         return json.load(fh)
 
 
-def write_float_csv(path, header: str, table, line_end="\n", chunk_rows=4096) -> None:
+def write_float_csv(path, header: str, table, line_end: str = "\n") -> None:
     """Write a header line and the rows of a 2-D float table, each value exactly
     ``'%.17g' % v``, ``,`` between values and ``line_end`` after each row."""
     table = np.asarray(table, np.float64)
+    step = _FLOAT_CHUNK // table.shape[1]
     with open(path, "wb") as fh:
         fh.write((header + line_end).encode())
-        for start in range(0, len(table), chunk_rows):
-            fh.write(_g17_block(table[start : start + chunk_rows], line_end))
+        for start in range(0, len(table), step):
+            fh.write(_g17_block(table[start : start + step], line_end))
 
 
+_FLOAT_CHUNK = 8192  # values formatted at a time by `write_float_csv`
 _OFF = 283  # the tables of `_g17_block` hold decimal exponents k = -_OFF.._OFF at k + _OFF
 _SPLIT = 2.0**27 + 1  # Dekker's splitter for float64
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierCoefficients, eval_field, _check_bandwidth, _freeze
-from .io import write_float_csv, write_json
+from .io import _FLOAT_CHUNK as _SAVE_CHUNK, write_float_csv, write_json
 
-_SAVE_CHUNK = 8192  # floats per formatted block of `save_samples`; must be even
 MAX_SAMPLES = 10**8  # `sample` takes about 80 bytes per value (measured), so 8 GB at the cap
 
 
@@ -161,11 +160,10 @@ def save_samples(s: SampleSet, csv_path, sidecar_path) -> None:
 
     The CSV is the header ``value_re,value_im`` and then one row per value,
     its real and imaginary parts each exactly ``'%.17g' % part``, with
-    ``\\r\\n`` line ends.  `io.write_float_csv` formats ``_SAVE_CHUNK`` floats
-    at a time with its exact vector formatter (Python formats the rare value
-    whose rounding is within 2^-36 of a tie), so memory beyond the samples
-    stays bounded by one chunk, about 2.2 MB.
+    ``\\r\\n`` line ends, from `io.write_float_csv`, the one float CSV writer:
+    its double-double digits err by under 2^-46, so roundings more than 2^-36
+    from a tie are exact, and Python formats the rest.  It formats
+    ``_SAVE_CHUNK`` floats at a time, so memory stays within about 2.2 MB.
     """
-    rows = s.values.view(np.float64).reshape(-1, 2)  # re, im
-    write_float_csv(csv_path, "value_re,value_im", rows, "\r\n", _SAVE_CHUNK // 2)
+    write_float_csv(csv_path, "value_re,value_im", s.values.view(np.float64).reshape(-1, 2), "\r\n")
     write_json(sidecar_path, {"n": int(s.n), "b_source": int(s.b_source), "seed": s.seed})

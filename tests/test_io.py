@@ -32,6 +32,6 @@ def test_write_float_csv_rows_and_line_ends(tmp_path):
     table = np.array([[0.0, -0.0], [1.0, 0.1], [-2.5e-7, 1e20], [123456.789, np.nan]])
     for line_end in ("\n", "\r\n"):
         path = tmp_path / "t.csv"
-        io.write_float_csv(path, "x,y", table, line_end, chunk_rows=3)
+        io.write_float_csv(path, "x,y", table, line_end)
         want = line_end.join(["x,y", *("%.17g,%.17g" % tuple(r) for r in table.tolist())])
         assert path.read_bytes() == (want + line_end).encode()
