@@ -17,41 +17,35 @@ import numpy as np
 from .fields import FourierCoefficients, eval_field, _freeze
 from .sampling import _check_sample_count
 
-VALUE_IMAG_TOL = 1e-8
-
-
-def _real_values(values: np.ndarray, what: str) -> np.ndarray:
-    v = np.asarray(values)
-    if np.iscomplexobj(v):
-        resid = float(np.max(np.abs(v.imag))) if v.size else 0.0
-        if resid > VALUE_IMAG_TOL:
-            raise ValueError(f"{what} must be real; imaginary residual {resid:.3e}")
-        v = v.real
-    return np.asarray(v, dtype=np.float64)
+MAX_GRID = 10**8  # a level curve takes about 80 bytes per grid point (measured), so 8 GB
 
 
 def empirical_value_cdf(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Fraction of values at or below each threshold of an ascending grid."""
+    """Fraction of the real values at or below each threshold of an ascending grid."""
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("grid must be a non-empty one-dimensional array")
     if np.any(np.diff(g) <= 0):
         raise ValueError("grid must be strictly ascending")
-    v = np.sort(_real_values(values, "field values"))
+    if np.iscomplexobj(values):
+        raise ValueError("field values must be real, not complex")
+    v = np.sort(np.asarray(values, dtype=np.float64))
     if v.size == 0:
         raise ValueError("need at least one value")
     return np.searchsorted(v, g, side="right") / v.size
 
 
 def level_measure_curve(c: FourierCoefficients, xs: np.ndarray, grid_points: int) -> np.ndarray:
-    """The value CDF of the field on ``grid_points`` uniform locations, at each of
-    an ascending array of thresholds: the measure of each sublevel set, to within
-    the number of level crossings over the grid size, ``2b/grid_points``."""
-    if grid_points < 2 * c.b + 1:
+    """The value CDF of a real-valued field on ``grid_points`` uniform locations, at
+    each of an ascending array of thresholds: the measure of each sublevel set, to
+    within the number of level crossings over the grid size, ``2b/grid_points``."""
+    if not 2 * c.b + 1 <= grid_points <= MAX_GRID:
         raise ValueError(
-            f"grid must have at least {2 * c.b + 1} points for b={c.b}, got {grid_points}"
+            f"grid must have {2 * c.b + 1} to {MAX_GRID} points for b={c.b}, got {grid_points}"
         )
-    return empirical_value_cdf(eval_field(c, np.arange(grid_points) / grid_points), xs)
+    if not c.real_valued:
+        raise ValueError("the value law needs a real-valued field")
+    return empirical_value_cdf(eval_field(c, np.arange(grid_points) / grid_points).real, xs)
 
 
 def _shift_phases(c: FourierCoefficients, theta: float) -> np.ndarray:
@@ -149,8 +143,8 @@ def ambiguity_demo(
     curve_s = level_measure_curve(shifted, xs, grid_points)
     sup_theory = float(np.max(np.abs(curve_o - curve_s)))
 
-    values_o = eval_field(c, rng.random(n))
-    values_s = eval_field(shifted, rng.random(n))
+    values_o = eval_field(c, rng.random(n)).real
+    values_s = eval_field(shifted, rng.random(n)).real
     cdf_o = empirical_value_cdf(values_o, xs)
     cdf_s = empirical_value_cdf(values_s, xs)
     sup_emp = float(np.max(np.abs(cdf_o - cdf_s)))

@@ -12,7 +12,7 @@ from orderfield import (
     shift_distortion,
     shift_field,
 )
-from orderfield.ambiguity import default_threshold_grid
+from orderfield.ambiguity import MAX_GRID, default_threshold_grid
 
 
 def test_empirical_cdf_counts_at_or_below():
@@ -27,8 +27,10 @@ def test_empirical_cdf_rejects_bad_input():
         empirical_value_cdf(np.array([]), np.array([0.0]))
     with pytest.raises(ValueError):
         empirical_value_cdf(np.array([0.5]), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        empirical_value_cdf(np.array([0.5 + 0.5j]), np.array([0.0, 1.0]))
+    # complex arrays are refused outright, even with zero imaginary parts
+    for values in (np.array([0.5 + 0.5j]), np.array([0.5 + 0j])):
+        with pytest.raises(ValueError, match="must be real, not complex"):
+            empirical_value_cdf(values, np.array([0.0, 1.0]))
 
 
 def test_level_measure_cosine_closed_form(cosine_field):
@@ -52,8 +54,25 @@ def test_level_measure_curve_matches_scalar(cosine_field):
 
 
 def test_level_measure_requires_enough_grid(cosine_field):
-    with pytest.raises(ValueError):
-        level_measure_curve(cosine_field, np.array([0.5]), 2)
+    # and at most MAX_GRID points, refused before anything of the grid's size exists
+    assert MAX_GRID >= 8192
+    for grid_points in (2, MAX_GRID + 1):
+        with pytest.raises(ValueError, match=f"grid must have 3 to {MAX_GRID} points"):
+            level_measure_curve(cosine_field, np.array([0.5]), grid_points)
+
+
+def test_level_measure_and_demo_refuse_a_complex_field(complex_random_field, rng):
+    # realness is read off the coefficients, so an imaginary constant of 1e-11 is refused
+    # too, though it is far below the values' own scale
+    offset = FourierCoefficients(np.array([0.25, 0.5 + 1e-11j, 0.25]))
+    for c in (complex_random_field(2, rng), offset):
+        assert not c.real_valued
+        with pytest.raises(ValueError, match="needs a real-valued field"):
+            level_measure_curve(c, np.array([0.5]), 64)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="needs a real-valued field"):
+            ambiguity_demo(c, 0.25, 64, 64, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
 
 
 def test_shift_field_translates_the_field(rng):
@@ -160,3 +179,16 @@ def test_demo_thresholds_cover_unbounded_fields(rng):
 def test_demo_rejects_empty_sample(cosine_field, rng):
     with pytest.raises(ValueError):
         ambiguity_demo(cosine_field, 0.25, 0, 1024, rng)
+
+
+def test_demo_is_exactly_scale_equivariant():
+    # multiplying by 2^40 is exact at every step, so each CDF array is the same bits
+    field = FourierCoefficients(np.array([0.25, 0.5, 1.0, 0.5, 0.25]))
+    big = FourierCoefficients(2.0**40 * field.coeffs)
+    a = ambiguity_demo(field, 0.3, 500, 1024, np.random.default_rng(8))
+    z = ambiguity_demo(big, 0.3, 500, 1024, np.random.default_rng(8))
+    assert big.real_valued and z.thresholds.tobytes() == (2.0**40 * a.thresholds).tobytes()
+    for name in ("level_curve_original", "level_curve_shifted",
+                 "empirical_cdf_original", "empirical_cdf_shifted"):
+        assert getattr(z, name).tobytes() == getattr(a, name).tobytes(), name
+    assert z.distortion_between_fields == 2.0**80 * a.distortion_between_fields

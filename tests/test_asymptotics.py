@@ -56,9 +56,33 @@ def test_field_sample_covariance_cosine_oracle(cosine_field):
 
 
 def test_field_sample_covariance_rejects_complex_derivative():
-    c = FourierCoefficients(np.array([0, 0, 0.5j]))
-    with pytest.raises(ValueError):
-        field_sample_covariance(c)
+    # realness is read off the coefficients: an imaginary constant, whose derivative is
+    # zero on the grid, is refused too, and the covariance check refuses both fields
+    for coeffs in ([0, 0, 0.5j], [0.25, 0.5j, 0.25]):
+        c = FourierCoefficients(np.array(coeffs))
+        with pytest.raises(ValueError, match="requires a real-valued field"):
+            field_sample_covariance(c)
+        with pytest.raises(ValueError, match="requires a real-valued field"):
+            clt_empirical_check(c, 50, 4, np.random.default_rng(0))
+
+
+def test_covariances_are_exactly_scale_equivariant():
+    # multiplying a field by 2^20 is exact at every step: its limit covariances gain
+    # exactly 4^20, and the relative errors of the covariance check are the same bits
+    field = random_field(2, np.random.default_rng(21))
+    big = FourierCoefficients(2.0**20 * field.coeffs)
+    a, z = covariance_bundle(field), covariance_bundle(big)
+    for name in ("quantile_cov", "sample_cov", "coeff_cov_herm", "coeff_cov_pseudo"):
+        scale = 1.0 if name == "quantile_cov" else 4.0**20
+        assert getattr(z, name).tobytes() == (scale * getattr(a, name)).tobytes(), name
+    points = np.linspace(0.0, 0.875, 8)
+    ra = clt_empirical_check(field, 200, 300, np.random.default_rng(5), eval_points=points)
+    rz = clt_empirical_check(big, 200, 300, np.random.default_rng(5), eval_points=points)
+    for name in ("coeff_cov_rel_err", "coeff_pseudo_rel_err", "quantile_cov_rel_err"):
+        assert getattr(rz, name) == getattr(ra, name), name
+    for pa, pz in zip(ra.pointwise_checks, rz.pointwise_checks):
+        assert pz.analytic_abs_second_moment == 4.0**20 * pa.analytic_abs_second_moment
+        assert pz.empirical_abs_second_moment == 4.0**20 * pa.empirical_abs_second_moment
 
 
 def test_coeff_covariance_identity_input():
@@ -134,10 +158,14 @@ def test_pointwise_variance_cosine_vanishes_at_origin(cosine_field):
 
 
 def test_pointwise_variance_nonnegative(rng):
-    bundle = covariance_bundle(random_field(3, rng))
-    for t in rng.random(10):
-        _, abs_second = pointwise_variance(bundle, float(t))
-        assert abs_second >= 0.0
+    # the Hermitian form's imaginary rounding noise is judged against the covariance's
+    # own scale: from coefficients of about 1e4 on it exceeds an absolute 1e-9
+    field = random_field(3, rng)
+    for scale in (1.0, 1e4, 2.0**40):
+        bundle = covariance_bundle(FourierCoefficients(scale * field.coeffs))
+        for t in rng.random(10):
+            _, abs_second = pointwise_variance(bundle, float(t))
+            assert abs_second >= 0.0
 
 
 def test_beta_moments_examples():

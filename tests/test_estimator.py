@@ -54,6 +54,18 @@ def test_estimate_converges_on_cosine(cosine_field):
     assert np.max(np.abs(est.coeffs - cosine_field.coeffs)) < 0.01
 
 
+def test_estimate_of_a_large_real_field_is_real_valued():
+    # the estimate's realness is judged at its own scale: at 2^40 its coefficients
+    # are the same bits times 2^40, and it is real-valued at both scales
+    field = random_field(3, np.random.default_rng(17))
+    big = FourierCoefficients(2.0**40 * field.coeffs)
+    draw = deploy(2000, np.random.default_rng(18))
+    est, est_big = estimate_coeffs(observe(field, draw), 3), estimate_coeffs(observe(big, draw), 3)
+    assert est.real_valued and est_big.real_valued
+    assert est_big.coeffs.tobytes() == (2.0**40 * est.coeffs).tobytes()
+    assert est_big.to_json_dict()["real_valued"] is True
+
+
 def test_estimate_rejects_too_few_samples(cosine_field):
     s = SampleSet(values=samples_from_coeffs(cosine_field))
     with pytest.raises(ValueError):

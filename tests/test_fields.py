@@ -15,7 +15,9 @@ from orderfield import (
     samples_from_coeffs,
     save_field,
 )
-from orderfield.fields import MAX_BANDWIDTH, _check_coeffs, _field_draws, _fields_from_draws
+from orderfield.fields import (
+    MAX_BANDWIDTH, MAX_COEFF, _check_coeffs, _field_draws, _fields_from_draws,
+)
 from orderfield.io import pairs_from_json
 
 
@@ -37,7 +39,8 @@ def test_coefficient_vector_length_is_checked():
 
 
 def test_real_valued_is_read_off_conjugate_symmetry():
-    # the 1e-12 tolerance on the largest |c[b+k] - conj(c[b-k])|, from either side
+    # the largest |c[b+k] - conj(c[b-k])| against 1e-12 * max(1, sum |c_k|), from either
+    # side; every magnitude sum here is below one, so the tolerance is 1e-12 itself
     symmetric = np.array([0.1 - 0.2j, 0.3, 0.1 + 0.2j])
     assert FourierCoefficients(symmetric).real_valued
     assert FourierCoefficients(symmetric + [0, 0, 0.5e-12]).real_valued
@@ -45,6 +48,42 @@ def test_real_valued_is_read_off_conjugate_symmetry():
     assert FourierCoefficients(np.array([0.3 + 0.4e-12j])).real_valued
     assert not FourierCoefficients(np.array([0.3 + 1e-12j])).real_valued
     assert not FourierCoefficients(np.array([0.1j, 0.3, 0.2j])).real_valued
+
+
+def test_realness_tolerance_scales_with_the_magnitude_sum_row_by_row():
+    symmetric = np.array([0.1 - 0.2j, 0.3, 0.1 + 0.2j])
+    total = 2.0**40 * np.abs(symmetric).sum()
+    for resid, real in ((0.5e-12, True), (2e-12, False)):
+        big = 2.0**40 * symmetric + [0, 0, resid * total]
+        assert FourierCoefficients(big).real_valued is real
+    # a stack's rows are judged each on its own scale
+    unit_noisy = symmetric + [0, 0, 2e-12]
+    big_noisy = 2.0**40 * symmetric + [0, 0, 0.5e-12 * total]
+    assert _check_coeffs(np.stack([big_noisy, symmetric])) == (True, False)
+    for stack in (np.stack([big_noisy, unit_noisy]), np.stack([unit_noisy, big_noisy])):
+        assert _check_coeffs(stack) == (False, False)
+        with pytest.raises(ValueError, match="requires conjugate symmetry"):
+            _check_coeffs(stack, real_valued=True)
+
+
+def test_coefficient_parts_are_capped():
+    assert MAX_COEFF >= 1e20
+    at_cap = np.array([MAX_COEFF * (1 - 1j), MAX_COEFF, MAX_COEFF * (1 + 1j)])
+    assert FourierCoefficients(at_cap).real_valued
+    for bad in (
+        [1e308, 1e308, 1e308],
+        [0.0, np.nextafter(MAX_COEFF, np.inf), 0.0],
+        [0.0, -1.5 * MAX_COEFF, 0.0],
+        [0.0, 2j * MAX_COEFF, 0.0],
+        [-1.7e308 - 1.7e308j, 0.0, 1.7e308j],
+    ):
+        with pytest.raises(ValueError, match="coefficient parts must be at most"):
+            FourierCoefficients(np.array(bad, dtype=np.complex128))
+        with pytest.raises(ValueError, match="coefficient parts must be at most"):
+            _check_coeffs(np.stack([at_cap, np.array(bad, dtype=np.complex128)]))
+    doc = {"b": 1, "real_valued": False, "coeffs": [[1e308, 0.0]] * 3}
+    with pytest.raises(ValueError, match="coefficient parts must be at most"):
+        FourierCoefficients.from_json_dict(doc)
 
 
 def test_bounded_is_read_off_the_magnitude_sum():

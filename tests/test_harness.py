@@ -25,6 +25,7 @@ from orderfield import (
 )
 from orderfield import cli, harness
 from orderfield.estimator import estimate_at
+from orderfield.ambiguity import MAX_GRID
 from orderfield.fields import MAX_BANDWIDTH, FourierCoefficients
 from orderfield.harness import SWEEP_CSV_HEADER, _cell_distortions, _trial_seeds, _TrialSeed
 from orderfield.io import dumps_json, matrix_to_json
@@ -519,6 +520,74 @@ def test_cli_rejects_sample_counts_above_the_cap(tmp_path, capsys, cosine_field)
             f"orderfield: error: sample count must lie in [1, {MAX_SAMPLES}], got {big}"
         ], args
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_rejects_grids_above_the_cap(tmp_path, capsys):
+    # in-process: exit 2 at the grid check, before anything of the grid's size exists
+    big = str(MAX_GRID + 1)
+    assert cli.main(["ambiguity-demo", "--b", "1", "--grid", big]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"orderfield: error: grid must have 3 to {MAX_GRID} points for b=1, got {big}"
+    ]
+
+
+def test_cli_refuses_huge_coefficients_with_one_line(tmp_path, run_cli):
+    # refused when the field is read, before any arithmetic could overflow or warn
+    (tmp_path / "huge.json").write_text(
+        json.dumps(dict(b=1, real_valued=False, coeffs=[[1e308, 0.0]] * 3))
+    )
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(
+        b_list=[1], n_list=[20], trials=4, base_seed=1, field_source="huge.json"
+    )))
+    for args in [
+        ("sample", "--field", "huge.json", "--n", "10", "--out", "o"),
+        ("estimate", "--field", "huge.json", "--n", "10"),
+        ("mse-sweep", "--config", "cfg.json", "--out", "o"),
+        ("clt-check", "--config", "cfg.json", "--out", "o"),
+        ("ambiguity-demo", "--field", "huge.json", "--n", "10", "--grid", "16"),
+    ]:
+        r = run_cli(*args, cwd=tmp_path)
+        assert (r.returncode, r.stdout) == (2, ""), f"{args}: {r.stderr}"
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1, f"{args}: {r.stderr}"
+        assert lines[0].startswith("orderfield: error: coefficient parts must be at most")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_clt_check_refuses_a_complex_fixed_field(tmp_path, capsys, complex_random_field):
+    save_field(complex_random_field(1, np.random.default_rng(2)), tmp_path / "field.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(
+        b_list=[1], n_list=[20], trials=4, base_seed=1, field_source=str(tmp_path / "field.json")
+    )))
+    assert cli.main(["clt-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "orderfield: error: sample covariance requires a real-valued field"
+    ]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**40])
+def test_cli_verdicts_on_a_real_field_do_not_depend_on_its_scale(tmp_path, capsys, scale):
+    field = random_field(2, np.random.default_rng(6))
+    path = tmp_path / "field.json"
+    save_field(FourierCoefficients(scale * field.coeffs), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(
+        b_list=[2], n_list=[40], trials=20, base_seed=3, field_source=str(path)
+    )))
+    for args in [
+        ("ambiguity-demo", "--field", str(path), "--n", "100", "--grid", "256"),
+        ("clt-check", "--config", str(cfg), "--out", str(tmp_path / "clt")),
+        ("estimate", "--field", str(path), "--n", "300", "--out", str(tmp_path / "est")),
+    ]:
+        assert cli.main(list(args)) == 0, args
+        assert capsys.readouterr().err == "", args
+    doc = json.loads((tmp_path / "est" / "estimate.json").read_text())
+    assert doc["real_valued"] is True
 
 
 def test_cli_gen_field_prints_valid_document(tmp_path, run_cli):

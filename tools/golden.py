@@ -70,6 +70,8 @@ FIELDS = {
         b=2, real_valued=False,
         coeffs=[[1e19, 0.0], [-4e19, 0.0], [6e19, 1e-7], [-4e19, 0.0], [1e19, 0.0]],
     ),
+    # 1e9 (1 + cos 2 pi t): real, with imaginary rounding noise in its values of order 1e-7
+    "field_big.json": dict(b=1, real_valued=True, coeffs=[[5e8, 0.0], [1e9, 0.0], [5e8, 0.0]]),
 }
 
 COMMANDS = [
@@ -115,6 +117,9 @@ COMMANDS = [
     ("mse-sweep", "--config", "cfg_seed64.json", "--out", "sweep_seed64"),
     # samples.csv in fixed notation with integer digits and in scientific notation (e+17 to e+20)
     ("sample", "--field", "field_wide.json", "--n", "400", "--seed", "3", "--out", "smp_wide"),
+    # realness judged at the coefficients' own scale: the value law of a real field near 1e9
+    ("ambiguity-demo", "--field", "field_big.json", "--theta", "0.3", "--n", "200",
+     "--grid", "512", "--seed", "8", "--out", "amb_big"),
 ]
 
 
