@@ -204,25 +204,16 @@ def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
     return FourierCoefficients(_grid_to_coeffs(build_dft_matrix(b), g))
 
 
-def _field_draws(b: int, rng: np.random.Generator) -> np.ndarray:
-    """The generator draws of one `random_field`, in one row of 2b+2: b+1 magnitudes,
-    b phases and the uniform that picks the sign of the centre term."""
-    _check_bandwidth(b)
-    # random(k) draws k doubles in turn, so this is random(b+1), random(b), random();
-    # uniform(0, high, k) is 0.0 + high * random(k), bit for bit, without uniform's checks
-    u = rng.random(2 * b + 2)
-    u[b + 1 : 2 * b + 1] *= 2.0 * np.pi
-    return u
-
-
 def _fields_from_draws(b: int, draws: np.ndarray) -> np.ndarray:
-    """The checked ``(T, 2b+1)`` coefficient stack built from T trials' `_field_draws`
-    rows, stacked as a ``(T, 2b+2)`` array."""
+    """The checked ``(T, 2b+1)`` coefficient stack of T random fields, one per row of a
+    ``(T, 2b+2)`` array of raw uniforms: b+1 magnitudes, b phases, scaled by 2*pi here,
+    and the uniform that picks the sign of the centre term."""
     draws = np.asarray(draws, dtype=np.float64)
     mags, phases, sign_u = draws[:, : b + 1], draws[:, b + 1 : 2 * b + 1], draws[:, -1]
     c = np.empty((mags.shape[0], 2 * b + 1), dtype=np.complex128)
     c[:, b] = np.where(sign_u < 0.5, 1.0, -1.0) * mags[:, 0]
-    c[:, b + 1 :] = mags[:, 1:] * np.exp(1j * phases)
+    # uniform(0, 2*pi) is 0.0 + 2*pi * random(), so these are its phases bit for bit
+    c[:, b + 1 :] = mags[:, 1:] * np.exp(1j * (phases * (2.0 * np.pi)))
     c[:, :b] = c[:, : b : -1].conj()
     total = np.abs(c).sum(axis=1)
     zero = total == 0.0
@@ -242,10 +233,12 @@ def random_field(b: int, rng: np.random.Generator) -> FourierCoefficients:
     symmetry is imposed, and the whole vector is rescaled so the magnitudes
     sum to exactly one.  The triangle inequality then keeps the field
     amplitude within [-1, 1] everywhere.  Every magnitude drawn as zero gives
-    the constant field one.  A Monte Carlo cell builds all its trials' fields
-    at once from their `_field_draws`, by the same code.
+    the constant field one.  The 2b+2 raw uniforms are one `_fields_from_draws`
+    row, which scales the phases; a Monte Carlo cell builds all its trials'
+    fields at once from their rows, by the same code.
     """
-    return FourierCoefficients(_fields_from_draws(b, [_field_draws(b, rng)])[0])
+    _check_bandwidth(b)
+    return FourierCoefficients(_fields_from_draws(b, rng.random((1, 2 * b + 2)))[0])
 
 
 def save_field(c: FourierCoefficients, path) -> None:

@@ -4,11 +4,11 @@ Each sweep cell seeds one ``SeedSequence((base_seed, b, n))``, and row i of
 its output states (`_trial_seeds`) seeds trial i's PCG64, so any cell of any
 sweep can be reproduced in isolation, the first T trials of a cell do not
 depend on its trial count, and the outputs are byte-identical at every worker
-count: workers only compute, and results are merged in trial order before any
-reduction.  A trial keeps only its field's raw generator draws and the 2b+1
-ranked locations of its deployment (`quantile_locations`); the cell then
-builds and checks all its fields in one array step and estimates them in
-another (`estimate_at`).
+count: trial i writes only row i of the cell's arrays, allocated once with the
+ranks (`quantile_indices`): its field's 2b+2 raw uniforms (random mode only)
+and the 2b+1 ranked locations of its deployment.  The cell then builds and
+checks all its fields in one array step (`_fields_from_draws`, which scales
+the phases) and estimates them in another (`estimate_at`).
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from .ambiguity import AmbiguityReport, ambiguity_demo
 from .asymptotics import clt_empirical_check
 from .estimator import distortion_bound, estimate_at
 from .fields import (
-    FourierCoefficients, _check_bandwidth, _field_draws, _fields_from_draws, load_field,
-    random_field,
+    FourierCoefficients, _check_bandwidth, _fields_from_draws, load_field, random_field,
 )
 from .io import as_int, read_json, to_json, write_csv_lines, write_float_csv, write_json
 from .parallel import trial_map
-from .sampling import deploy, quantile_locations
+from .sampling import deploy, quantile_indices
 
 MAX_SEED = 2**64
 MAX_TRIALS = 2**32  # a cap on a config's trial count, far beyond what a run can hold
@@ -172,15 +171,19 @@ class _TrialSeed(ISeedSequence):
 
 def _cell_distortions(cfg: ExperimentConfig, b: int, n: int, fixed) -> np.ndarray:
     states = _trial_seeds(cfg.base_seed, b, n, cfg.trials)
+    ranks = quantile_indices(n, b) - 1
+    locs = np.empty((cfg.trials, 2 * b + 1))
+    draws = np.empty((cfg.trials, 2 * b + 2)) if fixed is None else None
 
     def one_trial(i):
         rng = np.random.Generator(np.random.PCG64(_TrialSeed(states[i])))
-        draws = _field_draws(b, rng) if fixed is None else None
-        return draws, quantile_locations(deploy(n, rng), b)
+        if draws is not None:
+            rng.random(out=draws[i])
+        locs[i] = deploy(n, rng).locations[ranks]
 
-    draws, locs = zip(*trial_map(one_trial, cfg.trials))
+    trial_map(one_trial, cfg.trials)
     coeffs = fixed.coeffs if fixed is not None else _fields_from_draws(b, draws)
-    return np.sum(np.abs(estimate_at(coeffs, np.stack(locs)) - coeffs) ** 2, axis=1)
+    return np.sum(np.abs(estimate_at(coeffs, locs) - coeffs) ** 2, axis=1)
 
 
 def loglog_slope(n_values, means) -> float:

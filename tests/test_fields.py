@@ -16,7 +16,7 @@ from orderfield import (
     save_field,
 )
 from orderfield.fields import (
-    MAX_BANDWIDTH, MAX_COEFF, _check_coeffs, _field_draws, _fields_from_draws,
+    MAX_BANDWIDTH, MAX_COEFF, _check_coeffs, _fields_from_draws,
 )
 from orderfield.io import pairs_from_json
 
@@ -242,20 +242,35 @@ def test_random_field_and_stacked_fields_equal_the_loop_bitwise(b):
     seeds = range(200)
     loop = np.stack([loop_random_field(b, np.random.default_rng(s)).coeffs for s in seeds])
     one_by_one = np.stack([random_field(b, np.random.default_rng(s)).coeffs for s in seeds])
-    stacked = _fields_from_draws(b, [_field_draws(b, np.random.default_rng(s)) for s in seeds])
+    stacked = _fields_from_draws(b, [np.random.default_rng(s).random(2 * b + 2) for s in seeds])
     assert one_by_one.tobytes() == loop.tobytes()
     assert stacked.tobytes() == loop.tobytes()
-    # the draws are the oracle's generator calls: both leave the generator in one state
-    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    # a raw row is the oracle's generator calls: all leave the generator in one state
+    rng_a, rng_b, rng_c = (np.random.default_rng(5) for _ in range(3))
     loop_random_field(b, rng_a)
-    _field_draws(b, rng_b)
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    rng_b.random(2 * b + 2)
+    random_field(b, rng_c)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state == rng_c.bit_generator.state
+
+
+@pytest.mark.parametrize("b", [0, 1, 4, 8])
+def test_fields_from_raw_rows_equal_random_field_and_the_loop_bitwise(b):
+    # the raw-row contract: T rows of 2b+2 uniforms drawn row-major from one generator,
+    # phases unscaled, give the fields of T successive draws from it
+    trials = 40
+    rows = np.random.default_rng(9).random((trials, 2 * b + 2))
+    rng_f, rng_l = np.random.default_rng(9), np.random.default_rng(9)
+    one_by_one = np.stack([random_field(b, rng_f).coeffs for _ in range(trials)])
+    loop = np.stack([loop_random_field(b, rng_l).coeffs for _ in range(trials)])
+    stacked = _fields_from_draws(b, rows)
+    assert stacked.tobytes() == one_by_one.tobytes()
+    assert stacked.tobytes() == loop.tobytes()
 
 
 def test_stacked_fields_with_all_zero_magnitudes_are_the_unit_centre_field():
     b = 2
     zero = np.concatenate((np.zeros(b + 1), np.ones(b), [0.9]))
-    live = _field_draws(b, np.random.default_rng(5))
+    live = np.random.default_rng(5).random(2 * b + 2)
     c = _fields_from_draws(b, [zero, live, zero])
     unit = np.eye(2 * b + 1, dtype=np.complex128)[b]
     assert c[0].tobytes() == c[2].tobytes() == unit.tobytes()
@@ -264,7 +279,7 @@ def test_stacked_fields_with_all_zero_magnitudes_are_the_unit_centre_field():
 
 
 def test_stacked_fields_reject_a_non_finite_draw():
-    live = _field_draws(1, np.random.default_rng(0))
+    live = np.random.default_rng(0).random(4)
     nan_draw = np.array([0.5, np.nan, 0.3, 0.2])
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="coefficients must be finite"):
@@ -353,7 +368,7 @@ def test_from_json_dict_checks_the_document_b_and_real_valued_claim():
 
 def test_bandwidth_is_capped(rng):
     assert random_field(MAX_BANDWIDTH, rng).b == MAX_BANDWIDTH
-    for check in (build_dft_matrix, lambda b: _field_draws(b, rng), lambda b: random_field(b, rng)):
+    for check in (build_dft_matrix, lambda b: random_field(b, rng)):
         with pytest.raises(ValueError, match=f"bandwidth index must be <= {MAX_BANDWIDTH}, got"):
             check(MAX_BANDWIDTH + 1)
         with pytest.raises(ValueError, match="bandwidth index must be >= 0, got -1"):
