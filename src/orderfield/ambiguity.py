@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FourierCoefficients, eval_field, _freeze
+from .fields import FourierCoefficients, eval_field, _check_coeffs, _freeze
 from .sampling import _check_sample_count
 
 MAX_GRID = 10**8  # a level curve takes about 80 bytes per grid point (measured), so 8 GB
@@ -61,7 +61,8 @@ def _shift_phases(c: FourierCoefficients, theta: float) -> np.ndarray:
 def shift_field(c: FourierCoefficients, theta: float) -> FourierCoefficients:
     """Cyclically shift the field by ``theta``: coefficient k picks up phase
     ``exp(-2j*pi*k*theta)``.  Real-valuedness and boundedness survive."""
-    return FourierCoefficients(c.coeffs * _shift_phases(c, theta))
+    shifted = c.coeffs * _shift_phases(c, theta)
+    return FourierCoefficients._checked(shifted, _check_coeffs(shifted, capped=False))
 
 
 def shift_distortion(c: FourierCoefficients, theta: float) -> float:

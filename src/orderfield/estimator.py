@@ -32,7 +32,8 @@ def estimate_coeffs(s: SampleSet, b: int) -> FourierCoefficients:
     """
     ranks = quantile_indices(s.n, b)
     g = extract_quantile_samples(s, ranks)
-    return FourierCoefficients(_grid_to_coeffs(build_dft_matrix(b), g), n=s.n)
+    est = _grid_to_coeffs(build_dft_matrix(b), g)
+    return FourierCoefficients._checked(est, _check_coeffs(est, capped=False), n=s.n)
 
 
 def estimate_at(coeffs: np.ndarray, locations: np.ndarray) -> np.ndarray:
@@ -40,7 +41,7 @@ def estimate_at(coeffs: np.ndarray, locations: np.ndarray) -> np.ndarray:
     field's ``coeffs`` or a stack of them; row i equals `estimate_coeffs` on trial i, bitwise."""
     b = (coeffs.shape[-1] - 1) // 2
     est = _grid_to_coeffs(build_dft_matrix(b), _horner_eval(coeffs, b, locations))
-    _check_coeffs(est)
+    _check_coeffs(est, capped=False)
     return est
 
 

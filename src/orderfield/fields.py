@@ -43,7 +43,9 @@ class FourierCoefficients:
     symmetry, by the rule of `_check_coeffs`) and ``bounded`` (magnitudes summing
     to at most one, so the amplitude stays within [-1, 1]) are read off the
     coefficients.  An estimate also records the sample count ``n`` it was
-    computed from; a field that was not estimated has ``n = None``.
+    computed from; a field that was not estimated has ``n = None``.  The parts of
+    a field built here are held to `MAX_COEFF`; estimates and shifts, derived
+    from such fields, come from `_checked` and need only be finite.
     """
 
     coeffs: np.ndarray
@@ -52,13 +54,13 @@ class FourierCoefficients:
     real_valued: bool = field(init=False)
     bounded: bool = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, flags=None):
         c = np.asarray(self.coeffs, dtype=np.complex128).copy()
         if c.ndim != 1 or c.size % 2 != 1:
             raise ValueError(f"expected an odd number of coefficients, got shape {c.shape}")
         if self.n is not None and self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
-        real_valued, bounded = _check_coeffs(c)
+        real_valued, bounded = _check_coeffs(c) if flags is None else flags
         object.__setattr__(self, "coeffs", _freeze(c))
         object.__setattr__(self, "b", (c.size - 1) // 2)
         object.__setattr__(self, "real_valued", real_valued)
@@ -75,6 +77,16 @@ class FourierCoefficients:
         return doc
 
     @classmethod
+    def _checked(cls, c: np.ndarray, flags: tuple, n: int | None = None) -> "FourierCoefficients":
+        """The field of the vector ``c`` that `_check_coeffs` has passed, with the
+        ``(real_valued, bounded)`` flags it returned, so that it is not checked again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "coeffs", c)
+        object.__setattr__(f, "n", n)
+        f.__post_init__(flags)
+        return f
+
+    @classmethod
     def from_json_dict(cls, doc: dict) -> "FourierCoefficients":
         """`to_json_dict` output, checking its ``b`` and a ``real_valued: true`` claim."""
         try:
@@ -89,25 +101,31 @@ class FourierCoefficients:
         _check_bandwidth(b)
         if c.size != 2 * b + 1:
             raise ValueError(f"expected {2 * b + 1} coefficients for b={b}, got shape {c.shape}")
-        _check_coeffs(c, real_valued)
-        return cls(c, n=n)
+        return cls._checked(c, _check_coeffs(c, real_valued), n=n)
 
 
-def _check_coeffs(c: np.ndarray, real_valued: bool = False, bounded: bool = False) -> tuple:
+def _check_coeffs(
+    c: np.ndarray, real_valued: bool = False, bounded: bool = False, capped: bool = True
+) -> tuple:
     """Whether ``c``, one vector or each row of a ``(T, 2b+1)`` stack, is real-valued and
-    bounded; raises unless it is finite and within `MAX_COEFF` and, when asked, each.
+    bounded; raises unless it is finite, within `MAX_COEFF` when ``capped``, and, when
+    asked, each.
 
     The one realness rule: a row is real-valued when ``max|c[b+k] - conj(c[b-k])| <=
     CONJ_SYMMETRY_TOL * max(1, S)``, ``S = sum|c_k|``, as rounding noise grows with S;
-    bounded when ``S <= 1 + BOUNDED_SUM_TOL``.  `MAX_COEFF` caps the parts of every
-    vector, shifts and estimates too, compared without overflow.  With m = 2b+1 <= 2049,
-    S < 3e63 then bounds every field value, and every square stays finite: distortions
-    < 4 m S^2 < 1e131 (their squares over 2^32 trials < 1e273), shift distortions
-    < 8 m MAX_COEFF^2, the covariance bundle's products < m^2 (pi b S)^2 < 1e141, and at
-    n = 10^8 the covariance check's sums < 2e145 and squared Frobenius norms < 1e278.
+    bounded when ``S <= 1 + BOUNDED_SUM_TOL``.  `MAX_COEFF` caps the parts of the fields
+    that enter the program (read, passed in or drawn), compared without overflow; their
+    estimates and shifts are only checked to be finite.  With m = 2b+1 <= 2049, an input
+    has S < 3e63, which bounds its values; a shift's magnitudes sum to S, and each of an
+    estimate's coefficients, a mean of m values times unit phases, is at most S, so they
+    sum to at most m S < 6e66, which bounds its values.
+    Every square then stays finite: distortions < ((m+1) S)^2 < 4e133 (their squares
+    over 2^32 trials < 6e276), shift distortions < 8 m MAX_COEFF^2, the covariance
+    bundle's products < m^2 (pi b S)^2 < 1e141, and at n = 10^8 the covariance check's
+    sums < 2e145, squared Frobenius norms < 1e278 and pointwise squares < 4e141.
     """
     top = np.abs(np.ascontiguousarray(c).view(np.float64)).max()  # the largest part, or NaN
-    if not top <= MAX_COEFF:
+    if not top <= (MAX_COEFF if capped else np.finfo(np.float64).max):
         raise ValueError("coefficients must be finite" if not np.isfinite(top) else
                          f"coefficient parts must be at most {MAX_COEFF:g} in magnitude")
     total = np.abs(c).sum(axis=-1, keepdims=True)
@@ -238,7 +256,10 @@ def random_field(b: int, rng: np.random.Generator) -> FourierCoefficients:
     fields at once from their rows, by the same code.
     """
     _check_bandwidth(b)
-    return FourierCoefficients(_fields_from_draws(b, rng.random((1, 2 * b + 2)))[0])
+    # `_fields_from_draws` refuses a field that is not real-valued and bounded
+    return FourierCoefficients._checked(
+        _fields_from_draws(b, rng.random((1, 2 * b + 2)))[0], (True, True)
+    )
 
 
 def save_field(c: FourierCoefficients, path) -> None:

@@ -15,6 +15,7 @@ from orderfield import (
     samples_from_coeffs,
     save_field,
 )
+from orderfield import fields
 from orderfield.fields import (
     MAX_BANDWIDTH, MAX_COEFF, _check_coeffs, _fields_from_draws,
 )
@@ -84,6 +85,28 @@ def test_coefficient_parts_are_capped():
     doc = {"b": 1, "real_valued": False, "coeffs": [[1e308, 0.0]] * 3}
     with pytest.raises(ValueError, match="coefficient parts must be at most"):
         FourierCoefficients.from_json_dict(doc)
+    # estimates and shifts, derived from capped fields, need only be finite
+    over = np.array([MAX_COEFF * (1 - 1j), 2 * MAX_COEFF, MAX_COEFF * (1 + 1j)])
+    assert _check_coeffs(over, capped=False) == (True, False)
+    assert _check_coeffs(np.stack([over, at_cap]), capped=False) == (True, False)
+    for bad in (np.inf, np.nan, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            _check_coeffs(np.array([0.0, bad, 0.0], dtype=np.complex128), capped=False)
+
+
+def test_read_and_drawn_fields_are_checked_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return _check_coeffs(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_check_coeffs", counting)
+    c = random_field(3, np.random.default_rng(4))
+    assert c.real_valued and c.bounded and len(calls) == 1
+    back = FourierCoefficients.from_json_dict(c.to_json_dict())
+    assert back.real_valued and back.bounded and len(calls) == 2
+    assert back.coeffs.tobytes() == c.coeffs.tobytes()
 
 
 def test_bounded_is_read_off_the_magnitude_sum():

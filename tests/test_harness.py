@@ -15,6 +15,7 @@ from orderfield import (
     distortion,
     estimate_coeffs,
     load_config,
+    load_field,
     loglog_slope,
     observe,
     random_field,
@@ -22,11 +23,12 @@ from orderfield import (
     run_clt_check,
     run_mse_sweep,
     save_field,
+    shift_field,
 )
-from orderfield import cli, harness
+from orderfield import cli, harness, parallel
 from orderfield.estimator import estimate_at
 from orderfield.ambiguity import MAX_GRID
-from orderfield.fields import MAX_BANDWIDTH, FourierCoefficients
+from orderfield.fields import MAX_BANDWIDTH, MAX_COEFF, FourierCoefficients
 from orderfield.harness import SWEEP_CSV_HEADER, _cell_distortions, _trial_seeds, _TrialSeed
 from orderfield.io import dumps_json, matrix_to_json
 from orderfield.sampling import MAX_SAMPLES, quantile_indices
@@ -186,6 +188,20 @@ def test_sweep_cell_is_prefix_stable(fixed_field, complex_random_field):
         long = ExperimentConfig(b_list=[b], n_list=[n], trials=2 * trials, base_seed=base_seed)
         head = _cell_distortions(long, b, n, fixed)[:trials]
         assert head.tolist() == _cell_distortions(short, b, n, fixed).tolist()
+
+
+@pytest.mark.parametrize("fixed_field", [False, True])
+def test_cell_is_the_same_bytes_at_two_workers(monkeypatch, fixed_field, complex_random_field):
+    # an odd trial count, so the two workers write interleaved rows of the cell's arrays
+    b, n, trials = 2, 40, 37
+    fixed = complex_random_field(b, np.random.default_rng(8)) if fixed_field else None
+    cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=trials, base_seed=31)
+    monkeypatch.delenv(parallel.ENV_THREADS, raising=False)
+    serial = _cell_distortions(cfg, b, n, fixed)
+    monkeypatch.setenv(parallel.ENV_THREADS, "2")
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    assert parallel.pool_size(trials) == 2
+    assert _cell_distortions(cfg, b, n, fixed).tobytes() == serial.tobytes()
 
 
 def test_sweep_trial_locations_have_exact_order_statistic_moments(monkeypatch):
@@ -554,6 +570,29 @@ def test_cli_refuses_huge_coefficients_with_one_line(tmp_path, run_cli):
         assert len(lines) == 1, f"{args}: {r.stderr}"
         assert lines[0].startswith("orderfield: error: coefficient parts must be at most")
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_runs_on_a_field_whose_estimates_and_shifts_exceed_the_cap(tmp_path, capsys):
+    # only fields that enter the program are held to MAX_COEFF, not what is derived
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(dict(b=2, real_valued=False, coeffs=[
+        [1e60, -1e60], [-1e60, 1e60], [1e60, 0.0], [-1e60, -1e60], [1e60, 1e60],
+    ])))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(
+        b_list=[2], n_list=[20, 60], trials=9, base_seed=4, field_source=str(path)
+    )))
+    for args in [
+        ("estimate", "--field", str(path), "--n", "50", "--out", str(tmp_path / "est")),
+        ("mse-sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")),
+        ("clt-check", "--config", str(cfg), "--out", str(tmp_path / "clt")),
+        ("ambiguity-demo", "--field", str(path), "--n", "100", "--grid", "64"),
+    ]:
+        assert cli.main(list(args)) == 0, args
+        assert capsys.readouterr().err == "", args
+    est = json.loads((tmp_path / "est" / "estimate.json").read_text())
+    assert np.abs(est["coeffs"]).max() > MAX_COEFF
+    assert np.abs(shift_field(load_field(path), 0.25).coeffs.view(np.float64)).max() > MAX_COEFF
 
 
 def test_cli_clt_check_refuses_a_complex_fixed_field(tmp_path, capsys, complex_random_field):
