@@ -33,6 +33,7 @@ from .sampling import deploy, quantile_indices
 
 MAX_SEED = 2**64
 MAX_TRIALS = 2**32  # a cap on a config's trial count, far beyond what a run can hold
+MAX_EVAL_POINTS = 1024  # a cap on a config's eval_points; see `_check_eval_points`
 
 SWEEP_CSV_HEADER = "b,n,trials,mean_distortion,stderr,n_times_mse,bound"
 
@@ -44,6 +45,8 @@ class ExperimentConfig:
     field_source is either the literal "random" (a fresh field per trial for
     sweeps, one fixed field per bandwidth for distribution checks) or a path
     to a saved coefficient file, which fixes the field for every trial.
+    eval_points, None when unset, are the points of the covariance check's
+    pointwise comparisons; a sweep refuses a config that sets them.
     """
 
     b_list: tuple
@@ -52,6 +55,7 @@ class ExperimentConfig:
     base_seed: int
     field_source: str = "random"
     output_dir: str = ""
+    eval_points: tuple | None = None
 
     def __post_init__(self):
         b_list = tuple(as_int(v, "b_list entry") for v in self.b_list)
@@ -85,6 +89,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_list", n_list)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "base_seed", base_seed)
+        if self.eval_points is not None:
+            object.__setattr__(self, "eval_points", _check_eval_points(self.eval_points))
 
     @classmethod
     def from_json_dict(cls, d):
@@ -98,6 +104,26 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
         return cls(**d)
+
+
+def _check_eval_points(values) -> tuple:
+    """A list of at most `MAX_EVAL_POINTS` finite numbers, not booleans, as floats.
+
+    The covariance check holds about 50 bytes per trial and point, and
+    clt.json gains one `PointwiseCheck` per point and cell.
+    """
+    if not isinstance(values, (list, tuple)) or len(values) > MAX_EVAL_POINTS:
+        raise ValueError(f"eval_points must be a list of at most {MAX_EVAL_POINTS} numbers")
+    points = []
+    for v in values:
+        try:
+            x = math.nan if isinstance(v, bool) or not isinstance(v, (int, float)) else float(v)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise ValueError(f"eval_points entries must be finite numbers, got {v!r}")
+        points.append(x)
+    return tuple(points)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -202,6 +228,8 @@ def run_mse_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     validation (including loading a fixed field) happens before any file is
     touched, so a bad config never leaves partial output behind.
     """
+    if cfg.eval_points is not None:
+        raise ValueError("eval_points applies to clt-check only; remove it from the sweep config")
     fixed = _resolve_field(cfg)
     rows = []
     slopes = {}
@@ -245,9 +273,11 @@ def run_clt_check(cfg: ExperimentConfig, eval_points=None):
 
     Random mode fixes one field per bandwidth (drawn from the base seed)
     because the limit covariances depend on the field; a coefficient-file
-    field_source pins the field explicitly.  Writes clt.json when
-    output_dir is set.
+    field_source pins the field explicitly.  ``eval_points``, when given,
+    takes the place of the config's.  Writes clt.json when output_dir is set.
     """
+    if eval_points is None:
+        eval_points = cfg.eval_points
     fixed = _resolve_field(cfg)
     reports = []
     for b in cfg.b_list:

@@ -29,7 +29,9 @@ from orderfield import cli, harness, parallel
 from orderfield.estimator import estimate_at
 from orderfield.ambiguity import MAX_GRID
 from orderfield.fields import MAX_BANDWIDTH, MAX_COEFF, FourierCoefficients
-from orderfield.harness import SWEEP_CSV_HEADER, _cell_distortions, _trial_seeds, _TrialSeed
+from orderfield.harness import (
+    MAX_EVAL_POINTS, SWEEP_CSV_HEADER, _cell_distortions, _trial_seeds, _TrialSeed,
+)
 from orderfield.io import dumps_json, matrix_to_json
 from orderfield.sampling import MAX_SAMPLES, quantile_indices
 
@@ -91,6 +93,36 @@ def test_config_json_rejects_unknown_and_missing_keys():
         ExperimentConfig.from_json_dict({k: v for k, v in good.items() if k != "trials"})
     with pytest.raises(ValueError):
         ExperimentConfig.from_json_dict([1, 2])
+
+
+def test_config_eval_points_are_finite_numbers_up_to_the_cap():
+    assert small_config().eval_points is None
+    assert small_config(eval_points=[-1, 0.5, 2**60]).eval_points == (-1.0, 0.5, 2.0**60)
+    assert small_config(eval_points=[0.0] * MAX_EVAL_POINTS).eval_points == (0.0,) * 1024
+    assert small_config(eval_points=[]).eval_points == ()
+    for bad in [[True], [0.5, "0.5"], [None], [math.nan], [-math.inf], [10**400], [[0.5]]]:
+        with pytest.raises(ValueError, match="eval_points entries must be finite numbers"):
+            small_config(eval_points=bad)
+    for bad in [0.5, "0.5", {"t": 0.5}, [0.0] * (MAX_EVAL_POINTS + 1)]:
+        with pytest.raises(ValueError, match="eval_points must be a list of at most 1024"):
+            small_config(eval_points=bad)
+
+
+def test_eval_points_keyword_takes_the_place_of_the_config_points():
+    cfg = small_config(n_list=[40], eval_points=[0.25, -0.5])
+    points = lambda reports: [c.t for c in reports[0].pointwise_checks]
+    assert points(run_clt_check(cfg)) == [0.25, -0.5]
+    assert points(run_clt_check(cfg, eval_points=[1.5])) == [1.5]
+    plain = run_clt_check(small_config(n_list=[40]), eval_points=[0.25, -0.5])
+    assert dumps_json(plain[0].to_json_dict()) == dumps_json(run_clt_check(cfg)[0].to_json_dict())
+    assert run_clt_check(small_config(n_list=[40]))[0].pointwise_checks == ()
+
+
+def test_sweep_refuses_a_config_with_eval_points(tmp_path):
+    for points in [[0.5], []]:
+        with pytest.raises(ValueError, match="eval_points applies to clt-check only"):
+            run_mse_sweep(small_config(eval_points=points, output_dir=str(tmp_path / "o")))
+    assert not (tmp_path / "o").exists()
 
 
 def test_load_config_from_file(tmp_path):
@@ -495,6 +527,33 @@ def test_cli_rejects_trial_counts_of_2_to_the_32(tmp_path, capsys):
             "orderfield: error: trials must lie in [1, 2^32), got 4294967296"
         ], args
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_eval_points_reach_clt_json_and_bad_ones_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    base = dict(b_list=[1], n_list=[30], trials=5, base_seed=2)
+    cfg.write_text(json.dumps({**base, "eval_points": [-0.5, 0, 1.25]}))
+    assert cli.main(["clt-check", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "c" / "clt.json").read_text())
+    assert [c["t"] for c in doc["checks"][0]["pointwise_checks"]] == [-0.5, 0.0, 1.25]
+    assert cli.main(["mse-sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr() == ("", "orderfield: error: eval_points applies to clt-check "
+                                       "only; remove it from the sweep config\n")
+    for points, message in [
+        ([0.5, True], "eval_points entries must be finite numbers, got True"),
+        ("0.5", "eval_points must be a list of at most 1024 numbers"),
+    ]:
+        cfg.write_text(json.dumps({**base, "eval_points": points}))
+        for command in ("clt-check", "mse-sweep"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr() == ("", f"orderfield: error: {message}\n"), command
+    cfg.write_text(json.dumps(base)[:-1] + ', "eval_points": [NaN]}')
+    assert cli.main(["clt-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "orderfield: error: eval_points entries must be finite numbers, got nan"
+    ]
+    assert not (tmp_path / "s").exists() and not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_bandwidths_above_the_cap(tmp_path, capsys, cosine_field):

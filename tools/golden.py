@@ -53,6 +53,8 @@ CONFIGS = {
     "cfg_b48.json": dict(b_list=[4, 8], n_list=[17, 40, 120], trials=12, base_seed=6),
     "cfg_fixed.json": dict(b_list=[3], n_list=[7, 90], trials=12, base_seed=8, field_source=FIELD),
     "cfg_seed64.json": dict(b_list=[1, 3], n_list=[50, 200], trials=9, base_seed=2**64 - 59),
+    "cfg_points.json": dict(b_list=[0, 1, 3], n_list=[40, 150], trials=11, base_seed=13,
+                            eval_points=[-1.75, -0.3, 0.0, 0.125, 0.5, 0.999, 1.0, 2.6]),
 }
 
 # fields that gen-field does not draw: a complex one, a real one whose magnitudes sum to 2, and
@@ -120,6 +122,8 @@ COMMANDS = [
     # realness judged at the coefficients' own scale: the value law of a real field near 1e9
     ("ambiguity-demo", "--field", "field_big.json", "--theta", "0.3", "--n", "200",
      "--grid", "512", "--seed", "8", "--out", "amb_big"),
+    # pointwise checks from the config, at points below 0, at 0 and above 1
+    ("clt-check", "--config", "cfg_points.json", "--out", "clt_points"),
 ]
 
 
