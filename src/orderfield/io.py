@@ -22,6 +22,8 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -62,8 +64,9 @@ def to_json(x):
     documents, complex numbers ``[re, im]`` pairs, tuples and lists lists,
     and numpy scalars the matching Python numbers.
     """
-    if dataclasses.is_dataclass(x):
-        return {f.name: to_json(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    names = _field_names(type(x))
+    if names is not None:
+        return {name: to_json(getattr(x, name)) for name in names}
     if isinstance(x, np.ndarray):
         return matrix_to_json(x)
     if isinstance(x, (complex, np.complexfloating)):
@@ -71,6 +74,12 @@ def to_json(x):
     if isinstance(x, (tuple, list)):
         return [to_json(v) for v in x]
     return x.item() if isinstance(x, np.generic) else x
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> tuple | None:
+    """The field names of a dataclass type, else None; looked up once per type."""
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
 
 
 def as_int(value, name: str) -> int:
@@ -84,8 +93,9 @@ def dumps_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for JSON data.
 
     The stdlib takes its C encoder only without ``indent``; this walks the
-    document once and renders each list of finite ``[re, im]`` float pairs
-    with a single ``%`` format.  Keys must be strings.
+    document once, renders each list of finite ``[re, im]`` float pairs with
+    a single ``%`` format, and writes plain leaves (floats, strings, ints,
+    booleans, None) inline in their list or object.  Keys must be strings.
     """
     out = []
     _encode(doc, "\n", out.append)
@@ -93,13 +103,18 @@ def dumps_json(doc) -> str:
 
 
 def _encode(x, newline: str, emit) -> None:
-    """Append the text of ``x`` at the indent that ``newline`` ends with."""
-    if isinstance(x, float):
+    """Append the text of ``x`` at the indent that ``newline`` ends with.
+
+    Leaves of the exact types in `_LEAF_TEXT` are written where their list or
+    object is, without a call of this function per leaf.
+    """
+    leaf = _LEAF_TEXT.get(type(x))
+    if leaf is not None:
+        emit(leaf(x))
+    elif isinstance(x, float):
         emit(_float_text(x))
     elif isinstance(x, str):
         emit(encode_basestring_ascii(x))
-    elif x is None:
-        emit("null")
     elif x is True:
         emit("true")
     elif x is False:
@@ -116,6 +131,10 @@ def _encode(x, newline: str, emit) -> None:
             item = f"{inner}[{inner}  %r,{inner}  %r{inner}]"
             emit("[" + ",".join([item] * len(x)) % pairs + newline + "]")
             return
+        if set(map(type, x)) <= _LEAF_TYPES:
+            emit("[" + inner + ("," + inner).join([_LEAF_TEXT[type(v)](v) for v in x])
+                 + newline + "]")
+            return
         sep = "[" + inner
         for v in x:
             emit(sep)
@@ -131,8 +150,12 @@ def _encode(x, newline: str, emit) -> None:
         for k, v in sorted(x.items()):
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
-            emit(sep + encode_basestring_ascii(k) + ": ")
-            _encode(v, inner, emit)
+            leaf = _LEAF_TEXT.get(type(v))
+            if leaf is not None:
+                emit(sep + encode_basestring_ascii(k) + ": " + leaf(v))
+            else:
+                emit(sep + encode_basestring_ascii(k) + ": ")
+                _encode(v, inner, emit)
             sep = "," + inner
         emit(newline + "}")
     else:
@@ -143,6 +166,17 @@ def _float_text(x: float) -> str:
     if math.isfinite(x):
         return float.__repr__(x)
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# the text of a JSON leaf of exactly one of these types; subclasses take `_encode`'s tests
+_LEAF_TEXT = {
+    float: _float_text,
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda x: "null",
+}
+_LEAF_TYPES = frozenset(_LEAF_TEXT)
 
 
 def _finite_pair_floats(x):
@@ -159,9 +193,26 @@ def _finite_pair_floats(x):
     return flat
 
 
+def _write_in_place(path, chunks) -> None:
+    """Make the byte chunks the whole of the file at ``path``, written over it in place.
+
+    The file is opened without ``O_TRUNC`` (a new one gets `open`'s mode) and,
+    when it is a regular file, cut to the written length afterwards, also
+    when a chunk fails: on a filesystem that discards freed blocks, emptying
+    a file and filling it again costs several times the write.  Other files,
+    such as ``os.devnull``, where ``ftruncate`` fails, are only written.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(doc) + "\n")
+    _write_in_place(path, [(dumps_json(doc) + "\n").encode()])
 
 
 def read_json(path):
@@ -174,10 +225,9 @@ def write_float_csv(path, header: str, table, line_end: str = "\n") -> None:
     ``'%.17g' % v``, ``,`` between values and ``line_end`` after each row."""
     table = np.asarray(table, np.float64)
     step = _FLOAT_CHUNK // table.shape[1]
-    with open(path, "wb") as fh:
-        fh.write((header + line_end).encode())
-        for start in range(0, len(table), step):
-            fh.write(_g17_block(table[start : start + step], line_end))
+    _write_in_place(path, chain([(header + line_end).encode()], (
+        _g17_block(table[start : start + step], line_end) for start in range(0, len(table), step)
+    )))
 
 
 _FLOAT_CHUNK = 8192  # values formatted at a time by `write_float_csv`
@@ -264,5 +314,4 @@ def _g17_block(block: np.ndarray, line_end: str) -> bytes:
 
 def write_csv_lines(path, header: str, lines) -> None:
     """Write a header line and pre-formatted rows, each ending in ``\\n``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([header, *lines]) + "\n")
+    _write_in_place(path, ["\n".join([header, *lines, ""]).encode()])

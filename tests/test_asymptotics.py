@@ -168,6 +168,48 @@ def test_pointwise_variance_nonnegative(rng):
             assert abs_second >= 0.0
 
 
+def _pointwise_reference(bundle, t):
+    """The one-point quadratic forms, as plain vector-matrix products."""
+    k = np.arange(-bundle.b, bundle.b + 1)
+    phi_t = np.exp(2j * np.pi * k * float(t))
+    second = complex(phi_t @ bundle.coeff_cov_pseudo @ phi_t)
+    return second, max(float((phi_t @ bundle.coeff_cov_herm @ np.conj(phi_t)).real), 0.0)
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 4, 8])
+def test_pointwise_variance_of_an_array_is_the_points_alone_bitwise(b):
+    rng = np.random.default_rng(40 + b)
+    bundle = covariance_bundle(random_field(b, rng))
+    points = np.concatenate([[0.0, -0.0, 1.0, 0.5, -2.75, 3.1], rng.uniform(-2, 3, 200)])
+    second, abs_second = pointwise_variance(bundle, points)
+    assert second.shape == abs_second.shape == points.shape
+    assert second.dtype == np.complex128 and abs_second.dtype == np.float64
+    alone = [pointwise_variance(bundle, t) for t in points]
+    assert all(type(s) is complex and type(a) is float for s, a in alone)
+    reference = [_pointwise_reference(bundle, t) for t in points]
+    for pairs in (alone, reference):
+        s, a = zip(*pairs)
+        assert np.array(s).tobytes() == second.tobytes()
+        assert np.array(a).tobytes() == abs_second.tobytes()
+    # a 0-d array and a numpy float are points too
+    assert pointwise_variance(bundle, np.float64(points[7])) == alone[7]
+    assert pointwise_variance(bundle, np.array(points[7])) == alone[7]
+    empty = pointwise_variance(bundle, np.zeros(0))
+    assert empty[0].shape == empty[1].shape == (0,)
+    with pytest.raises(ValueError, match="a point or a 1-D array of points"):
+        pointwise_variance(bundle, points.reshape(2, -1))
+
+
+def test_pointwise_variance_refuses_an_imaginary_hermitian_form_in_both_forms():
+    z = np.zeros((3, 3))
+    bundle = CovarianceBundle(
+        b=1, quantile_cov=z, sample_cov=z, coeff_cov_herm=1j * np.eye(3), coeff_cov_pseudo=z
+    )
+    for t in (0.3, np.array([0.1, 0.3])):
+        with pytest.raises(ValueError, match="imaginary residual 3.000e[+]00"):
+            pointwise_variance(bundle, t)
+
+
 def test_beta_moments_examples():
     mean, var = beta_moments(1, 1)
     npt.assert_allclose([mean, var], [0.5, 1 / 12], atol=1e-15)

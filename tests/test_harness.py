@@ -389,6 +389,22 @@ JSON_DOCS = {
     "strings": ["se\u00f1al \u2014 \U0001d11e", "tab\tbell\x07 quote\" back\\"],
     "numeric string keys": {"10": 1.5, "2": [[0.25, 0.75]]},
     "tuples": (1.0, (2.0, 3.0), ("a", None)),
+    "inline object leaves": {
+        "true": True, "one": 1, "false": False, "zero": 0, "nan": math.nan, "inf": math.inf,
+        "-inf": -math.inf, "2^63": 2**63, "-2^64-1": -(2**64) - 1, "none": None,
+        "escaped": "q\"uote\\ \n\t\u00e9\U0001d11e\x7f", "empty list": [], "empty dict": {},
+    },
+    "inline list leaves": [True, 1, 1.0, False, 0, -0.0, math.nan, math.inf, -math.inf,
+                           2**63, 2**100, -(2**63) - 1, None, "\u2028\"\\/", ""],
+    "non-finite pairs": [[math.nan, 1.0], [math.inf, -math.inf]],
+    "pairs beside a non-finite pair": [[0.5, 0.25], [-math.inf, 2.0], [1e300, -1e-300]],
+    "lists that mix scalars and lists": [
+        1.0, [2.0, 3.0], "a", [], {}, [[0.5, 0.25]], [True, None], [[1, 2], 3], [[], [1.5]],
+    ],
+    "numpy and subclass leaves beside plain ones": {
+        "floats": [np.float64(0.1), 0.1, np.float64(math.nan)], "value": np.float64(-2.5),
+        "flag": np.True_.item(), "ints": [2**64, np.int64(-3).item()],
+    },
     "field": lambda: random_field(3, np.random.default_rng(4)).to_json_dict(),
     "estimate": _estimate_doc,
     "sweep report": lambda: run_mse_sweep(small_config(b_list=[0, 1])).to_json_dict(),
@@ -654,6 +670,29 @@ def test_cli_runs_on_a_field_whose_estimates_and_shifts_exceed_the_cap(tmp_path,
     assert np.abs(shift_field(load_field(path), 0.25).coeffs.view(np.float64)).max() > MAX_COEFF
 
 
+def test_cli_refuses_to_read_back_an_estimate_above_the_cap(tmp_path, capsys):
+    # an estimate is derived, so it may exceed MAX_COEFF; read back as a field, it is an
+    # input like any other and is refused with the cap's one line
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(dict(b=2, real_valued=False, coeffs=[
+        [1e60, -1e60], [-1e60, 1e60], [1e60, 0.0], [-1e60, -1e60], [1e60, 1e60],
+    ])))
+    assert cli.main(["estimate", "--field", str(path), "--n", "50", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    estimate = tmp_path / "estimate.json"
+    assert np.abs(json.loads(estimate.read_text())["coeffs"]).max() > MAX_COEFF
+    for args in [
+        ("sample", "--field", str(estimate), "--n", "10", "--out", str(tmp_path / "o")),
+        ("estimate", "--field", str(estimate), "--n", "50"),
+        ("ambiguity-demo", "--field", str(estimate), "--n", "10", "--grid", "16"),
+    ]:
+        assert cli.main(list(args)) == 2, args
+        assert capsys.readouterr() == (
+            "", "orderfield: error: coefficient parts must be at most 1e+60 in magnitude\n"
+        ), args
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_clt_check_refuses_a_complex_fixed_field(tmp_path, capsys, complex_random_field):
     save_field(complex_random_field(1, np.random.default_rng(2)), tmp_path / "field.json")
     cfg = tmp_path / "cfg.json"
@@ -686,6 +725,22 @@ def test_cli_verdicts_on_a_real_field_do_not_depend_on_its_scale(tmp_path, capsy
         assert capsys.readouterr().err == "", args
     doc = json.loads((tmp_path / "est" / "estimate.json").read_text())
     assert doc["real_valued"] is True
+
+
+def test_cli_rewrites_a_longer_output_to_a_fresh_runs_bytes(tmp_path, capsys):
+    demo = ["ambiguity-demo", "--b", "2", "--theta", "0.3", "--n", "300", "--seed", "9"]
+    assert cli.main([*demo, "--grid", "2048", "--out", str(tmp_path / "amb")]) == 0
+    long = {p.name: p.stat().st_size for p in (tmp_path / "amb").iterdir()}
+    assert cli.main([*demo, "--grid", "512", "--out", str(tmp_path / "amb")]) == 0
+    assert cli.main([*demo, "--grid", "512", "--out", str(tmp_path / "fresh")]) == 0
+    assert capsys.readouterr().err == ""
+    fresh = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "amb").iterdir()} == fresh
+    # the coarser grid shortens the report and both level curves, so each is a shorter
+    # write over a longer file; the empirical curves do not depend on the grid
+    assert {name for name in fresh if long[name] > len(fresh[name])} == {
+        "ambiguity.json", "ambiguity_level_original.csv", "ambiguity_level_shifted.csv"
+    }
 
 
 def test_cli_gen_field_prints_valid_document(tmp_path, run_cli):
