@@ -5,7 +5,8 @@ trailing newline: the text `dumps_json` returns is exactly that of
 ``json.dumps(doc, indent=2, sort_keys=True)``, with ASCII-escaped strings,
 ``repr`` numbers, ``true``/``false``/``null``, and ``NaN``, ``Infinity`` and
 ``-Infinity`` for non-finite floats.  Every JSON document and CSV the
-package writes goes through here, a CSV as one comma-separated line per row.
+package writes goes through here, a CSV as one comma-separated line per row,
+and each file is written over in place and then cut to its new length.
 `write_float_csv`, the one writer of float CSVs (``samples.csv``, the
 ``ambiguity_*.csv`` curves), gives each value exactly ``'%.17g' % v`` with
 array operations, a chunk of rows at a time (about 270 bytes per value):
@@ -115,11 +116,7 @@ def _encode(x, newline: str, emit) -> None:
         emit(_float_text(x))
     elif isinstance(x, str):
         emit(encode_basestring_ascii(x))
-    elif x is True:
-        emit("true")
-    elif x is False:
-        emit("false")
-    elif isinstance(x, int):
+    elif isinstance(x, int):  # bool cannot be subclassed, so True and False are leaves
         emit(int.__repr__(x))
     elif isinstance(x, (list, tuple)):
         if not x:
@@ -131,7 +128,7 @@ def _encode(x, newline: str, emit) -> None:
             item = f"{inner}[{inner}  %r,{inner}  %r{inner}]"
             emit("[" + ",".join([item] * len(x)) % pairs + newline + "]")
             return
-        if set(map(type, x)) <= _LEAF_TYPES:
+        if set(map(type, x)) <= _LEAF_TEXT.keys():
             emit("[" + inner + ("," + inner).join([_LEAF_TEXT[type(v)](v) for v in x])
                  + newline + "]")
             return
@@ -176,7 +173,6 @@ _LEAF_TEXT = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda x: "null",
 }
-_LEAF_TYPES = frozenset(_LEAF_TEXT)
 
 
 def _finite_pair_floats(x):

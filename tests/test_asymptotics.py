@@ -208,6 +208,16 @@ def test_pointwise_variance_refuses_an_imaginary_hermitian_form_in_both_forms():
     for t in (0.3, np.array([0.1, 0.3])):
         with pytest.raises(ValueError, match="imaginary residual 3.000e[+]00"):
             pointwise_variance(bundle, t)
+    # i (1 - exp(-4 pi i t)): real at t = 0, imaginary 2 at t = 1/4, so any point can refuse
+    herm = np.zeros((3, 3), complex)
+    herm[1, 1], herm[0, 2] = 1j, -1j
+    bundle = CovarianceBundle(
+        b=1, quantile_cov=z, sample_cov=z, coeff_cov_herm=herm, coeff_cov_pseudo=z
+    )
+    assert pointwise_variance(bundle, 0.0) == (0j, 0.0)
+    for t in (0.25, np.array([0.0, 0.25])):
+        with pytest.raises(ValueError, match="imaginary residual 2.000e[+]00"):
+            pointwise_variance(bundle, t)
 
 
 def test_beta_moments_examples():
