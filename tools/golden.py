@@ -53,6 +53,8 @@ CONFIGS = {
     "cfg_b48.json": dict(b_list=[4, 8], n_list=[17, 40, 120], trials=12, base_seed=6),
     "cfg_fixed.json": dict(b_list=[3], n_list=[7, 90], trials=12, base_seed=8, field_source=FIELD),
     "cfg_seed64.json": dict(b_list=[1, 3], n_list=[50, 200], trials=9, base_seed=2**64 - 59),
+    "cfg_select.json": dict(b_list=[0, 1, 3, 8], n_list=[16383, 16384, 100000], trials=3,
+                            base_seed=2**64 - 101),
     "cfg_points.json": dict(b_list=[0, 1, 3], n_list=[40, 150], trials=11, base_seed=13,
                             eval_points=[-1.75, -0.3, 0.0, 0.125, 0.5, 0.999, 1.0, 2.6]),
 }
@@ -124,6 +126,9 @@ COMMANDS = [
      "--grid", "512", "--seed", "8", "--out", "amb_big"),
     # pointwise checks from the config, at points below 0, at 0 and above 1
     ("clt-check", "--config", "cfg_points.json", "--out", "clt_points"),
+    # deployments of 2**14 - 1, 2**14 and 10**5 points, read by rank (sweep) and in full (estimate)
+    ("mse-sweep", "--config", "cfg_select.json", "--out", "sweep_select"),
+    ("estimate", "--field", FIELD, "--n", "16384", "--seed", "12"),
 ]
 
 
