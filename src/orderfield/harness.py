@@ -205,7 +205,7 @@ def _cell_distortions(cfg: ExperimentConfig, b: int, n: int, fixed) -> np.ndarra
         rng = np.random.Generator(np.random.PCG64(_TrialSeed(states[i])))
         if draws is not None:
             rng.random(out=draws[i])
-        locs[i] = deploy(n, rng).locations[ranks]
+        locs[i] = deploy(n, rng)._at(ranks)
 
     trial_map(one_trial, cfg.trials)
     coeffs = fixed.coeffs if fixed is not None else _fields_from_draws(b, draws)

@@ -1,19 +1,23 @@
 """Sensor deployment simulation and the ordered, location-free sample view.
 
-Deployment draws independent uniform locations on the unit interval and keeps
-them sorted (sensors are exchangeable).  The estimator is only ever handed a
-`SampleSet`: the field values listed in increasing order of their locations,
-with the locations themselves dropped.  Simulation-side code that needs the
-hidden locations (covariance checks, order-statistic diagnostics) reads them
-from the `DeploymentDraw`; nothing on the estimation path accepts a draw.
-Monte Carlo trials evaluate the field only at the 2b+1 `quantile_locations`;
-`sample_quantile_locations` draws those alone, exactly in law, without the
-other n - 2b - 1 points.
+Deployment draws independent uniform locations on the unit interval and reads
+them in increasing order (sensors are exchangeable).  The estimator is only
+ever handed a `SampleSet`: the field values listed in increasing order of
+their locations, with the locations themselves dropped.  Simulation-side code
+that needs the hidden locations (covariance checks, order-statistic
+diagnostics) reads them from the `DeploymentDraw`; nothing on the estimation
+path accepts a draw.  Monte Carlo trials evaluate the field only at the 2b+1
+`quantile_locations`.  A draw of at least `SELECT_MIN_N` points from `deploy`
+is sorted only when its `locations` are first read; before that, its ranked
+locations are selected in place, without sorting the other points.
+`sample_quantile_locations` draws the ranked locations alone, exactly in law,
+without the other n - 2b - 1 points.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +26,18 @@ from .fields import FourierCoefficients, eval_field, _check_bandwidth, _freeze
 from .io import _FLOAT_CHUNK as _SAVE_CHUNK, write_float_csv, write_json
 
 MAX_SAMPLES = 10**8  # `sample` takes about 80 bytes per value (measured), so 8 GB at the cap
+SELECT_MIN_N = 2**14  # selection beats the sort from here at b <= 3 (from 2**15 at b <= 8)
 
 
 @dataclass(frozen=True, eq=False)
 class DeploymentDraw:
-    """I.i.d. uniform locations of one deployment, sorted; a caller's array is copied first."""
+    """I.i.d. uniform locations of one deployment, sorted; a caller's array is copied first.
+
+    A draw of at least `SELECT_MIN_N` fresh points from `deploy` is deferred:
+    it keeps the generator's buffer unsorted and sorts it in place when
+    `locations` is first read.  Until then `_at` selects ranks in that same
+    buffer.  One lock per deferred draw serialises both, since both permute it.
+    """
 
     locations: np.ndarray
     seed: str = ""
@@ -36,10 +47,14 @@ class DeploymentDraw:
 
     @classmethod
     def _adopt(cls, loc: np.ndarray, seed: str) -> "DeploymentDraw":
-        """A draw that sorts and keeps the fresh float64 array ``loc`` itself, not a copy."""
+        """A draw that keeps the fresh float64 array ``loc`` itself, not a copy."""
         d = object.__new__(cls)
         object.__setattr__(d, "seed", seed)
-        d._keep_sorted(loc)
+        if loc.size < SELECT_MIN_N:
+            d._keep_sorted(loc)
+        else:
+            object.__setattr__(d, "_raw", loc)
+            object.__setattr__(d, "_lock", threading.Lock())
         return d
 
     def _keep_sorted(self, loc: np.ndarray) -> None:
@@ -50,9 +65,53 @@ class DeploymentDraw:
             raise ValueError("locations must lie in [0, 1]")
         object.__setattr__(self, "locations", _freeze(loc))
 
+    def __getattr__(self, name):
+        # reached only when `locations` is unset, that is on a deferred draw before its sort
+        if name != "locations" or "_raw" not in vars(self):
+            raise AttributeError(name)
+        with self._lock:
+            if "locations" not in vars(self):
+                self._keep_sorted(self._raw)
+        return vars(self)["locations"]
+
+    def _at(self, ranks0: np.ndarray) -> np.ndarray:
+        """The sorted locations at the zero-based, strictly increasing ``ranks0``.
+
+        A deferred draw not yet sorted partitions its buffer once per rank
+        instead, on int64 keys: the generator's doubles are non-negative and
+        never -0.0, and such doubles order as their bit patterns.  A value
+        outside [0, 1] or a NaN of either sign ends up below the first rank
+        or from the last rank up, where the check reads it.
+        """
+        if "locations" not in vars(self):
+            with self._lock:
+                if "locations" not in vars(self):
+                    x = self._raw
+                    _select(x.view(np.int64), ranks0)
+                    if not (x[: ranks0[0] + 1].min() >= 0.0 and x[ranks0[-1]:].max() <= 1.0):
+                        raise ValueError("locations must lie in [0, 1]")
+                    return x[ranks0]
+        return self.locations[ranks0]
+
     @property
     def n(self) -> int:
-        return self.locations.size
+        d = vars(self)
+        return d.get("locations", d.get("_raw")).size
+
+
+def _select(keys: np.ndarray, ranks0: np.ndarray, start: int = 0) -> None:
+    """Partition ``keys``, the draw from index ``start`` on, in place at each of ``ranks0``.
+
+    The middle rank goes first, then each half recurses on its own side.
+
+    One kth per `np.partition` call: a multi-kth call costs several sorts.
+    """
+    if ranks0.size:
+        mid = ranks0.size // 2
+        k = int(ranks0[mid]) - start
+        keys.partition(k)
+        _select(keys[:k], ranks0[:mid], start)
+        _select(keys[k + 1:], ranks0[mid + 1:], start + k + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +147,7 @@ def _check_sample_count(n: int) -> None:
 
 
 def deploy(n: int, rng: np.random.Generator, seed_label: str = "") -> DeploymentDraw:
-    """Scatter ``n`` sensors at Uniform[0, 1] locations, sorting the fresh draw in place."""
+    """Scatter ``n`` sensors at Uniform[0, 1] locations, ordering the fresh draw in place."""
     _check_sample_count(n)
     return DeploymentDraw._adopt(rng.random(n), seed_label)
 
@@ -121,7 +180,7 @@ def _ranks(n: int, m: int) -> np.ndarray:
 
 def quantile_locations(d: DeploymentDraw, b: int) -> np.ndarray:
     """The 2b+1 sorted locations at the `quantile_indices` ranks of the draw."""
-    return d.locations[quantile_indices(d.n, b) - 1]
+    return d._at(quantile_indices(d.n, b) - 1)
 
 
 # From 2**53 on, not every integer is a float64, so a Gamma shape could round.

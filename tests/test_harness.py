@@ -193,8 +193,9 @@ def test_rank_only_trials_equal_the_full_path(b, fixed_field, complex_random_fie
             assert rank_only.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()
 
 
-def test_rank_only_trials_match_the_full_path_at_large_n():
-    b, n = 3, 10**5
+@pytest.mark.parametrize("n", [2**14, 10**5])
+@pytest.mark.parametrize("b", [0, 1, 3, 8])
+def test_rank_only_trials_match_the_full_path_at_large_n(b, n):
     cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=4, base_seed=5)
     assert (_cell_distortions(cfg, b, n, None) == _full_path_distortions(cfg, b, n, None)).all()
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -18,7 +20,7 @@ from orderfield import (
     save_samples,
 )
 from orderfield.fields import eval_field
-from orderfield.sampling import _SAVE_CHUNK
+from orderfield.sampling import _SAVE_CHUNK, SELECT_MIN_N
 
 
 def test_deploy_draws_uniform_locations(rng):
@@ -150,6 +152,76 @@ def test_quantile_locations_read_the_sorted_draw_at_the_ranks(rng):
         npt.assert_array_equal(d.locations, before)
     with pytest.raises(ValueError):
         quantile_locations(deploy(4, rng), 2)
+    # from SELECT_MIN_N on, the ranks are selected before the sort and read after it
+    for n in (SELECT_MIN_N - 1, SELECT_MIN_N, 10**5):
+        for b in (0, 1, 3, 8):
+            ranked = np.sort(np.random.default_rng(n + b).random(n))
+            expected = ranked[quantile_indices(n, b) - 1].tolist()
+            d = deploy(n, np.random.default_rng(n + b))
+            assert d.n == n
+            assert quantile_locations(d, b).tolist() == expected
+            assert ("locations" in vars(d)) == (n < SELECT_MIN_N)  # selected, not sorted
+            for other in (8, 1, b):  # more selections on the same permuted buffer
+                assert quantile_locations(d, other).tolist() == ranked[
+                    quantile_indices(n, other) - 1].tolist()
+            assert d.locations.tolist() == ranked.tolist()
+            assert not d.locations.flags.writeable
+            assert quantile_locations(d, b).tolist() == expected
+
+
+class _DrawWith:
+    """A generator stub whose ``random(n)`` is a real draw with one value replaced."""
+
+    def __init__(self, bad, where):
+        self.bad, self.where = bad, where
+
+    def random(self, n):
+        x = np.random.default_rng(31).random(n)
+        x[self.where] = self.bad
+        return x
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, np.copysign(np.nan, -1.0)])
+def test_deferred_draws_refuse_values_outside_the_unit_interval(bad):
+    # a negative NaN's int64 key is negative, so it is selected to the bottom;
+    # a check written as `low.min() < 0.0` would let it through
+    n = SELECT_MIN_N
+    for where in (0, n // 3, n - 1):
+        for b in (0, 1, 3):
+            d = deploy(n, _DrawWith(bad, where))
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                quantile_locations(d, b)
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                d.locations
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            deploy(n, _DrawWith(bad, where)).locations
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            deploy(n - 1, _DrawWith(bad, where % (n - 1)))
+
+
+def test_a_deferred_draw_shared_by_four_threads_reads_exactly():
+    n, bs = 10**5, (0, 1, 3, 8)
+    ranked = np.sort(np.random.default_rng(41).random(n))
+    expected = {b: ranked[quantile_indices(n, b) - 1].tolist() for b in bs}
+    for _ in range(4):
+        d = deploy(n, np.random.default_rng(41))
+        start = threading.Barrier(4)
+
+        def reader(k):
+            # thread k reads the full locations after its k-th ranked read
+            start.wait()
+            reads = []
+            for j in range(2 * len(bs)):
+                if j == k:
+                    reads.append(("all", d.locations.tolist()))
+                b = bs[(j + k) % len(bs)]
+                reads.append((b, quantile_locations(d, b).tolist()))
+            return reads
+
+        with ThreadPoolExecutor(4) as pool:
+            for reads in pool.map(reader, range(4)):
+                for key, got in reads:
+                    assert got == (ranked.tolist() if key == "all" else expected[key])
 
 
 def _assert_exact_rank_moments(x, n, b):
