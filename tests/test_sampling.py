@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -203,25 +204,33 @@ def test_a_deferred_draw_shared_by_four_threads_reads_exactly():
     n, bs = 10**5, (0, 1, 3, 8)
     ranked = np.sort(np.random.default_rng(41).random(n))
     expected = {b: ranked[quantile_indices(n, b) - 1].tolist() for b in bs}
-    for _ in range(4):
-        d = deploy(n, np.random.default_rng(41))
-        start = threading.Barrier(4)
+    expected["all"] = ranked.tolist()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            d = deploy(n, np.random.default_rng(41))
+            start = threading.Barrier(4, timeout=60)
 
-        def reader(k):
-            # thread k reads the full locations after its k-th ranked read
-            start.wait()
-            reads = []
-            for j in range(2 * len(bs)):
-                if j == k:
-                    reads.append(("all", d.locations.tolist()))
-                b = bs[(j + k) % len(bs)]
-                reads.append((b, quantile_locations(d, b).tolist()))
-            return reads
+            def reader(k):
+                # thread k reads the full locations after its k-th ranked read
+                start.wait()
+                reads = []
+                for j in range(2 * len(bs)):
+                    if j == k:
+                        reads.append(("all", d.locations.tolist()))
+                    b = bs[(j + k) % len(bs)]
+                    reads.append((b, quantile_locations(d, b).tolist()))
+                return reads
 
-        with ThreadPoolExecutor(4) as pool:
-            for reads in pool.map(reader, range(4)):
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(reader, range(4), timeout=120))
+            assert len(results) == 4
+            for reads in results:
                 for key, got in reads:
-                    assert got == (ranked.tolist() if key == "all" else expected[key])
+                    assert got == expected[key]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _assert_exact_rank_moments(x, n, b):
