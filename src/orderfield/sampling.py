@@ -102,9 +102,8 @@ class DeploymentDraw:
 def _select(keys: np.ndarray, ranks0: np.ndarray, start: int = 0) -> None:
     """Partition ``keys``, the draw from index ``start`` on, in place at each of ``ranks0``.
 
-    The middle rank goes first, then each half recurses on its own side.
-
-    One kth per `np.partition` call: a multi-kth call costs several sorts.
+    The middle rank goes first, then each half recurses on its own side: one
+    kth per call, since a multi-kth `np.partition` costs several sorts.
     """
     if ranks0.size:
         mid = ranks0.size // 2
