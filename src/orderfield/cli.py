@@ -16,9 +16,9 @@ import os
 import sys
 
 from .estimator import estimate_coeffs
-from .fields import load_field, random_field, save_field
+from .fields import load_field, random_field
 from .harness import load_config, run_ambiguity_demo, run_clt_check, run_mse_sweep, seeded_rng
-from .io import dumps_json
+from .io import dumps_json, write_json
 from .sampling import deploy, observe, save_samples
 
 DEFAULT_SEED = 12345
@@ -32,43 +32,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _save_or_print(c, out: str, name: str) -> None:
-    """Write coefficients to ``out/name``, or print them when ``out`` is empty."""
+def _save_or_print(doc: dict, out: str, name: str) -> None:
+    """Write the JSON document to ``out/name``, or print it when ``out`` is empty."""
     if out:
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, name)
-        save_field(c, path)
+        write_json(path, doc)
         print(f"wrote {path}")
     else:
-        print(dumps_json(c.to_json_dict()))
+        print(dumps_json(doc))
 
 
 def _sample_field(args):
     """The field from --field and its ordered samples at --n seeded locations."""
     field = load_field(args.field)
-    draw = deploy(args.n, seeded_rng(args.seed), seed_label=str(args.seed))
-    return field, observe(field, draw)
+    return field, observe(field, deploy(args.n, seeded_rng(args.seed)))
 
 
 def _cmd_gen_field(args) -> int:
-    _save_or_print(random_field(args.b, seeded_rng(args.seed)), args.out, "field.json")
+    field = random_field(args.b, seeded_rng(args.seed))
+    _save_or_print(field.to_json_dict(), args.out, "field.json")
     return 0
 
 
 def _cmd_sample(args) -> int:
-    _, samples = _sample_field(args)
+    field, samples = _sample_field(args)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "samples.csv")
     sidecar = os.path.join(args.out, "samples.json")
-    save_samples(samples, csv_path, sidecar)
+    save_samples(samples, csv_path, sidecar, field.b, str(args.seed))
     print(f"wrote {csv_path} and {sidecar}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
     field, samples = _sample_field(args)
-    b = field.b if args.b is None else args.b
-    _save_or_print(estimate_coeffs(samples, b), args.out, "estimate.json")
+    est = estimate_coeffs(samples, field.b if args.b is None else args.b)
+    _save_or_print(dict(est.to_json_dict(), n=samples.n), args.out, "estimate.json")
     return 0
 
 

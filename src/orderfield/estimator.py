@@ -2,9 +2,9 @@
 
 The ordered sample at rank ``floor(n*l/(2b+1)) + 1`` converges to the field
 value at grid point ``l/(2b+1)``, so plugging those ranked values into the
-inverse grid transform estimates the coefficients.  The estimate is a
-`FourierCoefficients` carrying the sample count ``n``, so `eval_field`
-reconstructs it; the exact coefficient-space distortion follows.
+inverse grid transform estimates the coefficients.  The estimate is a plain
+`FourierCoefficients`, so `eval_field` reconstructs it; the exact
+coefficient-space distortion follows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def estimate_coeffs(s: SampleSet, b: int) -> FourierCoefficients:
     ranks = quantile_indices(s.n, b)
     g = extract_quantile_samples(s, ranks)
     est = _grid_to_coeffs(build_dft_matrix(b), g)
-    return FourierCoefficients._checked(est, _check_coeffs(est, capped=False), n=s.n)
+    return FourierCoefficients._checked(est, _check_coeffs(est, capped=False))
 
 
 def estimate_at(coeffs: np.ndarray, locations: np.ndarray) -> np.ndarray:

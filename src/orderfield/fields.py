@@ -42,14 +42,12 @@ class FourierCoefficients:
     of ``exp(2j*pi*k*t)`` with ``k = i - b``.  ``b``, ``real_valued`` (conjugate
     symmetry, by the rule of `_check_coeffs`) and ``bounded`` (magnitudes summing
     to at most one, so the amplitude stays within [-1, 1]) are read off the
-    coefficients.  An estimate also records the sample count ``n`` it was
-    computed from; a field that was not estimated has ``n = None``.  The parts of
-    a field built here are held to `MAX_COEFF`; estimates and shifts, derived
-    from such fields, come from `_checked` and need only be finite.
+    coefficients, which are all a field holds.  The parts of a field built here
+    are held to `MAX_COEFF`; estimates, shifts and grid inversions, derived from
+    such fields, come from `_checked` and need only be finite.
     """
 
     coeffs: np.ndarray
-    n: int | None = None
     b: int = field(init=False)
     real_valued: bool = field(init=False)
     bounded: bool = field(init=False)
@@ -58,8 +56,6 @@ class FourierCoefficients:
         c = np.asarray(self.coeffs, dtype=np.complex128).copy()
         if c.ndim != 1 or c.size % 2 != 1:
             raise ValueError(f"expected an odd number of coefficients, got shape {c.shape}")
-        if self.n is not None and self.n < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n}")
         real_valued, bounded = _check_coeffs(c) if flags is None else flags
         object.__setattr__(self, "coeffs", _freeze(c))
         object.__setattr__(self, "b", (c.size - 1) // 2)
@@ -67,28 +63,25 @@ class FourierCoefficients:
         object.__setattr__(self, "bounded", bounded)
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "b": int(self.b),
             "real_valued": bool(self.real_valued),
             "coeffs": pairs_to_json(self.coeffs),
         }
-        if self.n is not None:
-            doc["n"] = int(self.n)
-        return doc
 
     @classmethod
-    def _checked(cls, c: np.ndarray, flags: tuple, n: int | None = None) -> "FourierCoefficients":
+    def _checked(cls, c: np.ndarray, flags: tuple) -> "FourierCoefficients":
         """The field of the vector ``c`` that `_check_coeffs` has passed, with the
         ``(real_valued, bounded)`` flags it returned, so that it is not checked again."""
         f = object.__new__(cls)
         object.__setattr__(f, "coeffs", c)
-        object.__setattr__(f, "n", n)
         f.__post_init__(flags)
         return f
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FourierCoefficients":
-        """`to_json_dict` output, checking its ``b`` and a ``real_valued: true`` claim."""
+        """`to_json_dict` output, checking its ``b`` and a ``real_valued: true`` claim; an
+        estimate's sample count ``n``, when present, must be a positive integer and is dropped."""
         try:
             b = as_int(doc["b"], "b")
             real_valued = doc["real_valued"]
@@ -101,7 +94,9 @@ class FourierCoefficients:
         _check_bandwidth(b)
         if c.size != 2 * b + 1:
             raise ValueError(f"expected {2 * b + 1} coefficients for b={b}, got shape {c.shape}")
-        return cls._checked(c, _check_coeffs(c, real_valued), n=n)
+        if n is not None and n < 1:
+            raise ValueError(f"sample count must be >= 1, got {n}")
+        return cls._checked(c, _check_coeffs(c, real_valued))
 
 
 def _check_coeffs(
@@ -211,15 +206,15 @@ def samples_from_coeffs(c: FourierCoefficients) -> np.ndarray:
 def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
     """Recover coefficients from the 2b+1 uniform grid samples.
 
-    The inverse transform is the scaled conjugate transpose of the grid
-    matrix; round-tripping through `samples_from_coeffs` is the identity to
-    within 1e-10 per entry.
+    The inverse transform is the scaled conjugate transpose of the grid matrix,
+    and the result need only be finite, like an estimate: a round trip through
+    `samples_from_coeffs` is the identity to 1e-10 of the largest part, at `MAX_COEFF` too.
     """
     g = np.asarray(g_vec, dtype=np.complex128)
     if g.ndim != 1 or g.size % 2 != 1:
         raise ValueError(f"expected an odd-length sample vector, got shape {g.shape}")
-    b = (g.size - 1) // 2
-    return FourierCoefficients(_grid_to_coeffs(build_dft_matrix(b), g))
+    c = _grid_to_coeffs(build_dft_matrix((g.size - 1) // 2), g)
+    return FourierCoefficients._checked(c, _check_coeffs(c, capped=False))
 
 
 def _fields_from_draws(b: int, draws: np.ndarray) -> np.ndarray:
@@ -263,7 +258,7 @@ def random_field(b: int, rng: np.random.Generator) -> FourierCoefficients:
 
 
 def save_field(c: FourierCoefficients, path) -> None:
-    """Write a field or an estimate; ``n`` is written only when set."""
+    """Write the field's ``b``, ``coeffs`` and ``real_valued`` as JSON."""
     write_json(path, c.to_json_dict())
 
 

@@ -9,7 +9,8 @@ diagnostics) reads them from the `DeploymentDraw`; nothing on the estimation
 path accepts a draw.  Monte Carlo trials evaluate the field only at the 2b+1
 `quantile_locations`.  A draw of at least `SELECT_MIN_N` points from `deploy`
 is sorted only when its `locations` are first read; before that, its ranked
-locations are selected in place, without sorting the other points.
+locations are selected in place, without sorting the other points, given
+`SELECT_N_PER_RANK` points per rank.
 `sample_quantile_locations` draws the ranked locations alone, exactly in law,
 without the other n - 2b - 1 points.
 """
@@ -26,7 +27,8 @@ from .fields import FourierCoefficients, eval_field, _check_bandwidth, _freeze
 from .io import _FLOAT_CHUNK as _SAVE_CHUNK, write_float_csv, write_json
 
 MAX_SAMPLES = 10**8  # `sample` takes about 80 bytes per value (measured), so 8 GB at the cap
-SELECT_MIN_N = 2**14  # selection beats the sort from here at b <= 3 (from 2**15 at b <= 8)
+SELECT_MIN_N = 2**14  # draws from here on are deferred; smaller ones are sorted at once
+SELECT_N_PER_RANK = 2**11  # selection costs more per rank; with fewer points per rank, sort
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,21 +37,19 @@ class DeploymentDraw:
 
     A draw of at least `SELECT_MIN_N` fresh points from `deploy` is deferred:
     it keeps the generator's buffer unsorted and sorts it in place when
-    `locations` is first read.  Until then `_at` selects ranks in that same
-    buffer.  One lock per deferred draw serialises both, since both permute it.
+    `locations` is first read.  Until then `_at` selects ranks in that same buffer
+    (see there).  One lock per deferred draw serialises both, since both permute it.
     """
 
     locations: np.ndarray
-    seed: str = ""
 
     def __post_init__(self):
         self._keep_sorted(np.array(self.locations, dtype=np.float64))
 
     @classmethod
-    def _adopt(cls, loc: np.ndarray, seed: str) -> "DeploymentDraw":
+    def _adopt(cls, loc: np.ndarray) -> "DeploymentDraw":
         """A draw that keeps the fresh float64 array ``loc`` itself, not a copy."""
         d = object.__new__(cls)
-        object.__setattr__(d, "seed", seed)
         if loc.size < SELECT_MIN_N:
             d._keep_sorted(loc)
         else:
@@ -77,13 +77,14 @@ class DeploymentDraw:
     def _at(self, ranks0: np.ndarray) -> np.ndarray:
         """The sorted locations at the zero-based, strictly increasing ``ranks0``.
 
-        A deferred draw not yet sorted partitions its buffer once per rank
-        instead, on int64 keys: the generator's doubles are non-negative and
-        never -0.0, and such doubles order as their bit patterns.  A value
-        outside [0, 1] or a NaN of either sign ends up below the first rank
-        or from the last rank up, where the check reads it.
+        A deferred draw not yet sorted, of at least `SELECT_N_PER_RANK` points per
+        rank, partitions its buffer once per rank instead, on int64 keys: the
+        generator's doubles are non-negative and never -0.0, and such doubles
+        order as their bit patterns.  A value outside [0, 1] or a NaN of either
+        sign ends up below the first rank or from the last rank up, where the
+        check reads it.
         """
-        if "locations" not in vars(self):
+        if "locations" not in vars(self) and self._raw.size >= SELECT_N_PER_RANK * ranks0.size:
             with self._lock:
                 if "locations" not in vars(self):
                     x = self._raw
@@ -118,13 +119,10 @@ class SampleSet:
     """Field values in increasing order of their hidden sampling locations.
 
     This is the estimator's entire input: the ordered values, whose count is
-    ``n``.  ``b_source`` and ``seed`` are provenance metadata for
-    serialization only.
+    ``n``, and nothing else.
     """
 
     values: np.ndarray
-    b_source: int = -1
-    seed: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128).copy()
@@ -145,16 +143,15 @@ def _check_sample_count(n: int) -> None:
         raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {n}")
 
 
-def deploy(n: int, rng: np.random.Generator, seed_label: str = "") -> DeploymentDraw:
+def deploy(n: int, rng: np.random.Generator) -> DeploymentDraw:
     """Scatter ``n`` sensors at Uniform[0, 1] locations, ordering the fresh draw in place."""
     _check_sample_count(n)
-    return DeploymentDraw._adopt(rng.random(n), seed_label)
+    return DeploymentDraw._adopt(rng.random(n))
 
 
 def observe(field: FourierCoefficients, d: DeploymentDraw) -> SampleSet:
     """Evaluate the field at the sorted locations and drop the locations."""
-    values = eval_field(field, d.locations)
-    return SampleSet(values=values, b_source=field.b, seed=d.seed)
+    return SampleSet(values=eval_field(field, d.locations))
 
 
 def quantile_indices(n: int, b: int) -> np.ndarray:
@@ -213,8 +210,8 @@ def extract_quantile_samples(s: SampleSet, ranks: np.ndarray) -> np.ndarray:
     return s.values[r - 1]
 
 
-def save_samples(s: SampleSet, csv_path, sidecar_path) -> None:
-    """Write the ordered values as CSV plus a JSON sidecar with provenance.
+def save_samples(s: SampleSet, csv_path, sidecar_path, b_source: int, seed: str) -> None:
+    """Write the ordered values as CSV plus a JSON sidecar of ``n``, ``b_source`` and ``seed``.
 
     The CSV is the header ``value_re,value_im`` and then one row per value,
     its real and imaginary parts each exactly ``'%.17g' % part``, with
@@ -224,4 +221,4 @@ def save_samples(s: SampleSet, csv_path, sidecar_path) -> None:
     ``_SAVE_CHUNK`` floats at a time, so memory stays within about 2.2 MB.
     """
     write_float_csv(csv_path, "value_re,value_im", s.values.view(np.float64).reshape(-1, 2), "\r\n")
-    write_json(sidecar_path, {"n": int(s.n), "b_source": int(s.b_source), "seed": s.seed})
+    write_json(sidecar_path, {"n": int(s.n), "b_source": int(b_source), "seed": seed})

@@ -20,6 +20,7 @@ from orderfield import (
     samples_from_coeffs,
     save_field,
 )
+from orderfield.io import write_json
 
 
 def test_estimator_is_exact_on_grid_values(cosine_field):
@@ -29,7 +30,7 @@ def test_estimator_is_exact_on_grid_values(cosine_field):
     est = estimate_coeffs(s, 1)
     npt.assert_allclose(est.coeffs, cosine_field.coeffs, atol=1e-12)
     assert distortion(est, cosine_field) < 1e-24
-    assert est.real_valued and est.bounded and est.n == 3
+    assert est.real_valued and est.bounded and s.n == 3
     # imaginary noise above the conjugate-symmetry tolerance clears the real
     # flag, which the estimate reads off its coefficients
     noisy = SampleSet(values=samples_from_coeffs(cosine_field) + 1e-10j)
@@ -49,7 +50,7 @@ def test_estimate_converges_on_cosine(cosine_field):
     rng = np.random.default_rng(42)
     s = observe(cosine_field, deploy(200_000, rng))
     est = estimate_coeffs(s, 1)
-    assert est.n == 200_000
+    assert s.n == 200_000
     assert est.real_valued
     assert np.max(np.abs(est.coeffs - cosine_field.coeffs)) < 0.01
 
@@ -101,7 +102,7 @@ def test_estimate_at_rejects_non_finite_estimates(cosine_field):
 
 
 def test_distortion_is_squared_coefficient_distance(cosine_field):
-    est = FourierCoefficients(cosine_field.coeffs + np.array([0.1, 0, -0.2j]), n=10)
+    est = FourierCoefficients(cosine_field.coeffs + np.array([0.1, 0, -0.2j]))
     npt.assert_allclose(distortion(est, cosine_field), 0.1**2 + 0.2**2, atol=1e-15)
 
 
@@ -118,7 +119,7 @@ def test_distortion_equals_field_space_error(rng):
 
 
 def test_distortion_rejects_bandwidth_mismatch(cosine_field):
-    est = FourierCoefficients(np.zeros(5, dtype=complex), n=10)
+    est = FourierCoefficients(np.zeros(5, dtype=complex))
     with pytest.raises(ValueError):
         distortion(est, cosine_field)
 
@@ -137,9 +138,13 @@ def test_distortion_bound_formula():
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        FourierCoefficients(np.zeros(2, dtype=complex), n=10)
-    with pytest.raises(ValueError):
-        FourierCoefficients(np.zeros(3, dtype=complex), n=0)
+        FourierCoefficients(np.zeros(2, dtype=complex))
+    # an estimate's sample count lives only in its file, which is read back as a field
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"sample count must be >= 1, got {n}"):
+            FourierCoefficients.from_json_dict(
+                {"b": 1, "real_valued": True, "coeffs": [[0.25, 0], [0.5, 0], [0.25, 0]], "n": n}
+            )
 
 
 def test_estimate_file_roundtrip(tmp_path, rng):
@@ -148,11 +153,14 @@ def test_estimate_file_roundtrip(tmp_path, rng):
     est = estimate_coeffs(s, 1)
     path = tmp_path / "estimate.json"
     save_field(est, path)
-    back = load_field(path)
-    assert back.b == est.b and back.n == est.n and back.real_valued == est.real_valued
-    npt.assert_array_equal(back.coeffs, est.coeffs)
-    # the estimate.json schema: the field keys plus the sample count
+    assert set(json.loads(path.read_text())) == {"b", "coeffs", "real_valued"}
+    # the estimate.json schema of the `estimate` command: the field keys plus the sample
+    # count, which reading checks and drops
+    write_json(path, dict(est.to_json_dict(), n=s.n))
     assert set(json.loads(path.read_text())) == {"b", "coeffs", "n", "real_valued"}
+    back = load_field(path)
+    assert back.b == est.b and back.real_valued == est.real_valued
+    npt.assert_array_equal(back.coeffs, est.coeffs)
 
 
 def test_estimate_from_json_rejects_malformed():

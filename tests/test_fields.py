@@ -207,6 +207,16 @@ def test_coeff_sample_roundtrip(rng):
         back = coeffs_from_samples(samples_from_coeffs(c))
         assert back.b == b
         npt.assert_allclose(back.coeffs, coeffs, atol=1e-10)
+    # at the MAX_COEFF cap the inverse may round a part just past it, and it need only be
+    # finite, as an estimate from the same grid values is
+    parts = rng.choice([-1.0, 1.0], size=(200, 2, 9))
+    for at_cap in [np.array([1.0, -1.0, 1.0]), *(parts[:, 0] + 1j * parts[:, 1])]:
+        c = FourierCoefficients(MAX_COEFF * at_cap)
+        back = coeffs_from_samples(samples_from_coeffs(c))
+        npt.assert_allclose(back.coeffs, c.coeffs, rtol=0.0, atol=1e-10 * MAX_COEFF)
+    for bad in (np.nan, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            coeffs_from_samples(np.array([0.5, bad, 0.25]))
 
 
 def test_coeffs_from_samples_rejects_even_length():

@@ -770,6 +770,21 @@ def test_cli_pipeline_and_estimate_determinism(tmp_path, run_cli):
     assert json.loads(first.stdout)["n"] == 500
 
 
+def test_cli_writes_the_sample_count_field_bandwidth_and_seed(tmp_path, capsys, cosine_field):
+    field_path = tmp_path / "field.json"
+    save_field(cosine_field, field_path)
+    given = ["--field", str(field_path), "--n", "37", "--seed", "91"]
+    assert cli.main(["sample", *given, "--out", str(tmp_path / "smp")]) == 0
+    assert cli.main(["estimate", *given, "--b", "2", "--out", str(tmp_path / "est")]) == 0
+    assert capsys.readouterr().err == ""
+    sidecar = json.loads((tmp_path / "smp" / "samples.json").read_text())
+    assert sidecar == {"n": 37, "b_source": 1, "seed": "91"}
+    est = json.loads((tmp_path / "est" / "estimate.json").read_text())
+    assert set(est) == {"b", "coeffs", "n", "real_valued"}
+    assert (est["n"], est["b"]) == (37, 2)
+    assert load_field(tmp_path / "est" / "estimate.json").b == 2
+
+
 def test_cli_sweep_and_clt_and_ambiguity(tmp_path, run_cli):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(b_list=[1], n_list=[25, 75], trials=4, base_seed=2)))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import sys
 import threading
@@ -21,7 +22,7 @@ from orderfield import (
     save_samples,
 )
 from orderfield.fields import eval_field
-from orderfield.sampling import _SAVE_CHUNK, SELECT_MIN_N
+from orderfield.sampling import _SAVE_CHUNK, SELECT_MIN_N, SELECT_N_PER_RANK
 
 
 def test_deploy_draws_uniform_locations(rng):
@@ -62,11 +63,11 @@ def test_deploy_sorts_the_generators_draw():
 def test_draw_sorts_a_private_copy_of_the_callers_array():
     given = np.array([0.9, 0.1, 0.5, 0.0, 1.0, 0.3])
     before = given.copy()
-    d = DeploymentDraw(locations=given, seed="7")
+    d = DeploymentDraw(locations=given)
     npt.assert_array_equal(d.locations, np.sort(before))
     npt.assert_array_equal(given, before)
     assert not np.shares_memory(d.locations, given)
-    assert d.seed == "7" and d.n == 6
+    assert d.n == 6
     assert DeploymentDraw(locations=[0.5, 0.25]).locations.tolist() == [0.25, 0.5]
 
 
@@ -80,7 +81,7 @@ def test_observe_evaluates_at_sorted_locations(rng, cosine_field):
     d = deploy(64, rng)
     s = observe(cosine_field, d)
     assert s.n == 64
-    assert s.b_source == 1
+    assert [f.name for f in dataclasses.fields(s)] == ["values"]  # no provenance rides along
     npt.assert_allclose(s.values, eval_field(cosine_field, d.locations), atol=1e-12)
 
 
@@ -153,15 +154,18 @@ def test_quantile_locations_read_the_sorted_draw_at_the_ranks(rng):
         npt.assert_array_equal(d.locations, before)
     with pytest.raises(ValueError):
         quantile_locations(deploy(4, rng), 2)
-    # from SELECT_MIN_N on, the ranks are selected before the sort and read after it
-    for n in (SELECT_MIN_N - 1, SELECT_MIN_N, 10**5):
-        for b in (0, 1, 3, 8):
+    # from SELECT_MIN_N on, the ranks are selected before the sort and read after it,
+    # given SELECT_N_PER_RANK points per rank; with fewer, the first read sorts the draw
+    assert (SELECT_MIN_N, SELECT_N_PER_RANK) == (2**14, 2**11)
+    selects_from = {0: 2**14, 1: 2**14, 3: 2**14, 4: 2**15, 8: 2**16, 16: 10**5}
+    for n in (SELECT_MIN_N - 1, 2**14, 2**15, 2**16, 10**5):
+        for b in selects_from:
             ranked = np.sort(np.random.default_rng(n + b).random(n))
             expected = ranked[quantile_indices(n, b) - 1].tolist()
             d = deploy(n, np.random.default_rng(n + b))
             assert d.n == n
             assert quantile_locations(d, b).tolist() == expected
-            assert ("locations" in vars(d)) == (n < SELECT_MIN_N)  # selected, not sorted
+            assert ("locations" in vars(d)) == (n < selects_from[b]), (n, b)  # which path ran
             for other in (8, 1, b):  # more selections on the same permuted buffer
                 assert quantile_locations(d, other).tolist() == ranked[
                     quantile_indices(n, other) - 1].tolist()
@@ -201,7 +205,8 @@ def test_deferred_draws_refuse_values_outside_the_unit_interval(bad):
 
 
 def test_a_deferred_draw_shared_by_four_threads_reads_exactly():
-    n, bs = 10**5, (0, 1, 3, 8)
+    # b = 64 has fewer than SELECT_N_PER_RANK points per rank, so its read sorts the draw
+    n, bs = 10**5, (0, 1, 3, 8, 64)
     ranked = np.sort(np.random.default_rng(41).random(n))
     expected = {b: ranked[quantile_indices(n, b) - 1].tolist() for b in bs}
     expected["all"] = ranked.tolist()
@@ -318,10 +323,10 @@ def test_extract_quantile_samples_is_one_based():
 def test_sample_file_roundtrip(tmp_path, rng, complex_random_field):
     # the larger sample spans more than one formatted chunk of `save_samples`
     for n, draw in ((40, random_field), (3 * _SAVE_CHUNK // 2 + 7, complex_random_field)):
-        s = observe(draw(2, rng), deploy(n, rng, seed_label="1234"))
+        s = observe(draw(2, rng), deploy(n, rng))
         csv_path = tmp_path / "samples.csv"
         sidecar = tmp_path / "samples.json"
-        save_samples(s, csv_path, sidecar)
+        save_samples(s, csv_path, sidecar, 2, "1234")
         with open(csv_path, encoding="utf-8", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["value_re", "value_im"]
@@ -352,7 +357,7 @@ def test_save_samples_bytes_equal_the_csv_module_writer(tmp_path, rng, complex_r
         cases += [SampleSet(values=full.values[:n]) for n in sizes]
     for i, s in enumerate(cases):
         got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
-        save_samples(s, got, tmp_path / f"got{i}.json")
+        save_samples(s, got, tmp_path / f"got{i}.json", 3, str(i))
         _save_samples_with_csv_module(s, want)
         assert got.read_bytes() == want.read_bytes(), f"case {i}, n={s.n}"
     assert b"-0,0\r\n" in (tmp_path / "got0.csv").read_bytes()
