@@ -9,7 +9,6 @@ from .fields import (
     load_field,
     random_field,
     samples_from_coeffs,
-    save_field,
 )
 from .sampling import (
     DeploymentDraw,

@@ -33,7 +33,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _save_or_print(doc: dict, out: str, name: str) -> None:
-    """Write the JSON document to ``out/name``, or print it when ``out`` is empty."""
+    """Write the JSON document to ``out/name``, or print it when ``out`` is empty; the
+    one writer of ``field.json`` and ``estimate.json``."""
     if out:
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, name)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import as_int, pairs_from_json, pairs_to_json, read_json, write_json
+from .io import as_int, pairs_from_json, pairs_to_json, read_json
 
 CONJ_SYMMETRY_TOL = 1e-12
 BOUNDED_SUM_TOL = 1e-12
@@ -42,9 +42,9 @@ class FourierCoefficients:
     of ``exp(2j*pi*k*t)`` with ``k = i - b``.  ``b``, ``real_valued`` (conjugate
     symmetry, by the rule of `_check_coeffs`) and ``bounded`` (magnitudes summing
     to at most one, so the amplitude stays within [-1, 1]) are read off the
-    coefficients, which are all a field holds.  The parts of a field built here
-    are held to `MAX_COEFF`; estimates, shifts and grid inversions, derived from
-    such fields, come from `_checked` and need only be finite.
+    coefficients, which are all a field holds.  The parts of a field built here or
+    inverted from grid values (up to rounding) are held to `MAX_COEFF`; estimates and
+    shifts, derived from such fields, come from `_checked` and need only be finite.
     """
 
     coeffs: np.ndarray
@@ -109,11 +109,11 @@ def _check_coeffs(
     The one realness rule: a row is real-valued when ``max|c[b+k] - conj(c[b-k])| <=
     CONJ_SYMMETRY_TOL * max(1, S)``, ``S = sum|c_k|``, as rounding noise grows with S;
     bounded when ``S <= 1 + BOUNDED_SUM_TOL``.  `MAX_COEFF` caps the parts of the fields
-    that enter the program (read, passed in or drawn), compared without overflow; their
-    estimates and shifts are only checked to be finite.  With m = 2b+1 <= 2049, an input
-    has S < 3e63, which bounds its values; a shift's magnitudes sum to S, and each of an
-    estimate's coefficients, a mean of m values times unit phases, is at most S, so they
-    sum to at most m S < 6e66, which bounds its values.
+    that enter the program (read, passed in, drawn, or inverted from grid values up to
+    1e-10 of rounding), compared without overflow; their estimates and shifts are only
+    checked to be finite.  With m = 2b+1 <= 2049, an input has S < 3e63, which bounds its
+    values; a shift's magnitudes sum to S, and each of an estimate's coefficients, a mean
+    of m values times unit phases, is at most S, so they sum to at most m S < 6e66.
     Every square then stays finite: distortions < ((m+1) S)^2 < 4e133 (their squares
     over 2^32 trials < 6e276), shift distortions < 8 m MAX_COEFF^2, the covariance
     bundle's products < m^2 (pi b S)^2 < 1e141, and at n = 10^8 the covariance check's
@@ -206,15 +206,19 @@ def samples_from_coeffs(c: FourierCoefficients) -> np.ndarray:
 def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
     """Recover coefficients from the 2b+1 uniform grid samples.
 
-    The inverse transform is the scaled conjugate transpose of the grid matrix,
-    and the result need only be finite, like an estimate: a round trip through
-    `samples_from_coeffs` is the identity to 1e-10 of the largest part, at `MAX_COEFF` too.
+    The inverse transform is the scaled conjugate transpose of the grid matrix;
+    a round trip through `samples_from_coeffs` is the identity to 1e-10 of the
+    largest part.  The grid values are outside input, so the result is held to
+    `MAX_COEFF` but for that rounding, and a field at the cap round-trips.
     """
     g = np.asarray(g_vec, dtype=np.complex128)
     if g.ndim != 1 or g.size % 2 != 1:
         raise ValueError(f"expected an odd-length sample vector, got shape {g.shape}")
     c = _grid_to_coeffs(build_dft_matrix((g.size - 1) // 2), g)
-    return FourierCoefficients._checked(c, _check_coeffs(c, capped=False))
+    flags = _check_coeffs(c, capped=False)
+    if np.abs(c.view(np.float64)).max() > MAX_COEFF * (1 + 1e-10):
+        raise ValueError(f"coefficient parts must be at most {MAX_COEFF:g} in magnitude")
+    return FourierCoefficients._checked(c, flags)
 
 
 def _fields_from_draws(b: int, draws: np.ndarray) -> np.ndarray:
@@ -255,11 +259,6 @@ def random_field(b: int, rng: np.random.Generator) -> FourierCoefficients:
     return FourierCoefficients._checked(
         _fields_from_draws(b, rng.random((1, 2 * b + 2)))[0], (True, True)
     )
-
-
-def save_field(c: FourierCoefficients, path) -> None:
-    """Write the field's ``b``, ``coeffs`` and ``real_valued`` as JSON."""
-    write_json(path, c.to_json_dict())
 
 
 def load_field(path) -> FourierCoefficients:

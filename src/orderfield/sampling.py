@@ -9,8 +9,7 @@ diagnostics) reads them from the `DeploymentDraw`; nothing on the estimation
 path accepts a draw.  Monte Carlo trials evaluate the field only at the 2b+1
 `quantile_locations`.  A draw of at least `SELECT_MIN_N` points from `deploy`
 is sorted only when its `locations` are first read; before that, its ranked
-locations are selected in place, without sorting the other points, given
-`SELECT_N_PER_RANK` points per rank.
+locations are selected in place, without sorting the other points.
 `sample_quantile_locations` draws the ranked locations alone, exactly in law,
 without the other n - 2b - 1 points.
 """
@@ -27,8 +26,7 @@ from .fields import FourierCoefficients, eval_field, _check_bandwidth, _freeze
 from .io import _FLOAT_CHUNK as _SAVE_CHUNK, write_float_csv, write_json
 
 MAX_SAMPLES = 10**8  # `sample` takes about 80 bytes per value (measured), so 8 GB at the cap
-SELECT_MIN_N = 2**14  # draws from here on are deferred; smaller ones are sorted at once
-SELECT_N_PER_RANK = 2**11  # selection costs more per rank; with fewer points per rank, sort
+SELECT_MIN_N = 2**14  # selection beats the sort from here at b <= 3 (from 2**15 at b <= 8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +35,8 @@ class DeploymentDraw:
 
     A draw of at least `SELECT_MIN_N` fresh points from `deploy` is deferred:
     it keeps the generator's buffer unsorted and sorts it in place when
-    `locations` is first read.  Until then `_at` selects ranks in that same buffer
-    (see there).  One lock per deferred draw serialises both, since both permute it.
+    `locations` is first read.  Until then `_at` selects ranks in that same
+    buffer.  One lock per deferred draw serialises both, since both permute it.
     """
 
     locations: np.ndarray
@@ -77,14 +75,13 @@ class DeploymentDraw:
     def _at(self, ranks0: np.ndarray) -> np.ndarray:
         """The sorted locations at the zero-based, strictly increasing ``ranks0``.
 
-        A deferred draw not yet sorted, of at least `SELECT_N_PER_RANK` points per
-        rank, partitions its buffer once per rank instead, on int64 keys: the
-        generator's doubles are non-negative and never -0.0, and such doubles
-        order as their bit patterns.  A value outside [0, 1] or a NaN of either
-        sign ends up below the first rank or from the last rank up, where the
-        check reads it.
+        A deferred draw not yet sorted partitions its buffer once per rank
+        instead, on int64 keys: the generator's doubles are non-negative and
+        never -0.0, and such doubles order as their bit patterns.  A value
+        outside [0, 1] or a NaN of either sign ends up below the first rank
+        or from the last rank up, where the check reads it.
         """
-        if "locations" not in vars(self) and self._raw.size >= SELECT_N_PER_RANK * ranks0.size:
+        if "locations" not in vars(self):
             with self._lock:
                 if "locations" not in vars(self):
                     x = self._raw

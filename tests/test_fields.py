@@ -13,13 +13,12 @@ from orderfield import (
     load_field,
     random_field,
     samples_from_coeffs,
-    save_field,
 )
 from orderfield import fields
 from orderfield.fields import (
     MAX_BANDWIDTH, MAX_COEFF, _check_coeffs, _fields_from_draws,
 )
-from orderfield.io import pairs_from_json
+from orderfield.io import pairs_from_json, write_json
 
 
 def naive_eval(coeffs, b, t):
@@ -207,13 +206,18 @@ def test_coeff_sample_roundtrip(rng):
         back = coeffs_from_samples(samples_from_coeffs(c))
         assert back.b == b
         npt.assert_allclose(back.coeffs, coeffs, atol=1e-10)
-    # at the MAX_COEFF cap the inverse may round a part just past it, and it need only be
-    # finite, as an estimate from the same grid values is
+    # at the MAX_COEFF cap the inverse may round a part just past it, which is allowed
     parts = rng.choice([-1.0, 1.0], size=(200, 2, 9))
-    for at_cap in [np.array([1.0, -1.0, 1.0]), *(parts[:, 0] + 1j * parts[:, 1])]:
+    wide = rng.choice([-1.0, 1.0], size=257) + 1j * rng.choice([-1.0, 1.0], size=257)
+    for at_cap in [np.array([1.0, -1.0, 1.0]), *(parts[:, 0] + 1j * parts[:, 1]), wide]:
         c = FourierCoefficients(MAX_COEFF * at_cap)
         back = coeffs_from_samples(samples_from_coeffs(c))
         npt.assert_allclose(back.coeffs, c.coeffs, rtol=0.0, atol=1e-10 * MAX_COEFF)
+    # but grid values are outside input, so parts beyond that rounding are refused
+    over = build_dft_matrix(1) @ np.array([0.0, 1.000001 * MAX_COEFF, 0.0])
+    for bad in (over, np.full(3, 1e300), np.full(3, 1e300j)):
+        with pytest.raises(ValueError, match="at most"):
+            coeffs_from_samples(bad)
     for bad in (np.nan, complex(0.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             coeffs_from_samples(np.array([0.5, bad, 0.25]))
@@ -349,7 +353,7 @@ def test_json_roundtrip_exact(rng):
 
 def test_file_roundtrip(tmp_path, cosine_field):
     path = tmp_path / "field.json"
-    save_field(cosine_field, path)
+    write_json(path, cosine_field.to_json_dict())
     back = load_field(path)
     npt.assert_array_equal(back.coeffs, cosine_field.coeffs)
     # the document is plain JSON with the expected keys

@@ -22,7 +22,6 @@ from orderfield import (
     run_ambiguity_demo,
     run_clt_check,
     run_mse_sweep,
-    save_field,
     shift_field,
 )
 from orderfield import cli, harness, parallel
@@ -32,7 +31,7 @@ from orderfield.fields import MAX_BANDWIDTH, MAX_COEFF, FourierCoefficients
 from orderfield.harness import (
     MAX_EVAL_POINTS, SWEEP_CSV_HEADER, _cell_distortions, _trial_seeds, _TrialSeed,
 )
-from orderfield.io import dumps_json, matrix_to_json
+from orderfield.io import dumps_json, matrix_to_json, write_json
 from orderfield.sampling import MAX_SAMPLES, quantile_indices
 
 
@@ -284,7 +283,7 @@ def test_loglog_slope_recovers_exact_power_law():
 
 def test_fixed_field_mode(tmp_path, cosine_field):
     path = tmp_path / "field.json"
-    save_field(cosine_field, path)
+    write_json(path, cosine_field.to_json_dict())
     cfg = small_config(field_source=str(path), n_list=[200])
     a = run_mse_sweep(cfg)
     b = run_mse_sweep(cfg)
@@ -294,7 +293,7 @@ def test_fixed_field_mode(tmp_path, cosine_field):
 
 def test_fixed_field_bandwidth_mismatch_leaves_no_output(tmp_path, cosine_field):
     path = tmp_path / "field.json"
-    save_field(cosine_field, path)
+    write_json(path, cosine_field.to_json_dict())
     out = tmp_path / "results"
     cfg = ExperimentConfig(
         b_list=[2], n_list=[50], trials=2, base_seed=1,
@@ -335,7 +334,7 @@ def test_sweep_output_files(tmp_path):
 
 def test_clt_check_runs_and_writes(tmp_path, cosine_field):
     path = tmp_path / "field.json"
-    save_field(cosine_field, path)
+    write_json(path, cosine_field.to_json_dict())
     out = tmp_path / "results"
     cfg = ExperimentConfig(
         b_list=[1], n_list=[50], trials=30, base_seed=12,
@@ -475,7 +474,7 @@ def test_cli_runtime_errors_exit_2(tmp_path, run_cli, cosine_field):
     assert "error" in r.stderr
     # numpy refuses these 7 PiB requests before touching any memory
     field_path = tmp_path / "field.json"
-    save_field(cosine_field, field_path)
+    write_json(field_path, cosine_field.to_json_dict())
     for args in [
         ("estimate", "--field", str(field_path), "--n", "1000000000000000"),
         ("ambiguity-demo", "--b", "1", "--grid", "1000000000000000"),
@@ -576,7 +575,7 @@ def test_cli_eval_points_reach_clt_json_and_bad_ones_exit_2(tmp_path, capsys):
 def test_cli_rejects_bandwidths_above_the_cap(tmp_path, capsys, cosine_field):
     # in-process: each command exits 2 before building anything of size 2b+1
     field_path = tmp_path / "field.json"
-    save_field(cosine_field, field_path)
+    write_json(field_path, cosine_field.to_json_dict())
     big = str(MAX_BANDWIDTH + 1)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(b_list=[int(big)], n_list=[50], trials=2, base_seed=1)))
@@ -598,7 +597,7 @@ def test_cli_rejects_bandwidths_above_the_cap(tmp_path, capsys, cosine_field):
 def test_cli_rejects_sample_counts_above_the_cap(tmp_path, capsys, cosine_field):
     # in-process: each command exits 2 at the count check, before anything of size n exists
     field_path = tmp_path / "field.json"
-    save_field(cosine_field, field_path)
+    write_json(field_path, cosine_field.to_json_dict())
     big = str(MAX_SAMPLES + 1)
     for args in [
         ("sample", "--field", str(field_path), "--n", big, "--out", str(tmp_path / "o")),
@@ -695,7 +694,8 @@ def test_cli_refuses_to_read_back_an_estimate_above_the_cap(tmp_path, capsys):
 
 
 def test_cli_clt_check_refuses_a_complex_fixed_field(tmp_path, capsys, complex_random_field):
-    save_field(complex_random_field(1, np.random.default_rng(2)), tmp_path / "field.json")
+    field = complex_random_field(1, np.random.default_rng(2))
+    write_json(tmp_path / "field.json", field.to_json_dict())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(
         b_list=[1], n_list=[20], trials=4, base_seed=1, field_source=str(tmp_path / "field.json")
@@ -712,7 +712,7 @@ def test_cli_clt_check_refuses_a_complex_fixed_field(tmp_path, capsys, complex_r
 def test_cli_verdicts_on_a_real_field_do_not_depend_on_its_scale(tmp_path, capsys, scale):
     field = random_field(2, np.random.default_rng(6))
     path = tmp_path / "field.json"
-    save_field(FourierCoefficients(scale * field.coeffs), path)
+    write_json(path, FourierCoefficients(scale * field.coeffs).to_json_dict())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(
         b_list=[2], n_list=[40], trials=20, base_seed=3, field_source=str(path)
@@ -772,7 +772,7 @@ def test_cli_pipeline_and_estimate_determinism(tmp_path, run_cli):
 
 def test_cli_writes_the_sample_count_field_bandwidth_and_seed(tmp_path, capsys, cosine_field):
     field_path = tmp_path / "field.json"
-    save_field(cosine_field, field_path)
+    write_json(field_path, cosine_field.to_json_dict())
     given = ["--field", str(field_path), "--n", "37", "--seed", "91"]
     assert cli.main(["sample", *given, "--out", str(tmp_path / "smp")]) == 0
     assert cli.main(["estimate", *given, "--b", "2", "--out", str(tmp_path / "est")]) == 0

@@ -22,7 +22,7 @@ from orderfield import (
     save_samples,
 )
 from orderfield.fields import eval_field
-from orderfield.sampling import _SAVE_CHUNK, SELECT_MIN_N, SELECT_N_PER_RANK
+from orderfield.sampling import _SAVE_CHUNK, SELECT_MIN_N
 
 
 def test_deploy_draws_uniform_locations(rng):
@@ -154,18 +154,15 @@ def test_quantile_locations_read_the_sorted_draw_at_the_ranks(rng):
         npt.assert_array_equal(d.locations, before)
     with pytest.raises(ValueError):
         quantile_locations(deploy(4, rng), 2)
-    # from SELECT_MIN_N on, the ranks are selected before the sort and read after it,
-    # given SELECT_N_PER_RANK points per rank; with fewer, the first read sorts the draw
-    assert (SELECT_MIN_N, SELECT_N_PER_RANK) == (2**14, 2**11)
-    selects_from = {0: 2**14, 1: 2**14, 3: 2**14, 4: 2**15, 8: 2**16, 16: 10**5}
-    for n in (SELECT_MIN_N - 1, 2**14, 2**15, 2**16, 10**5):
-        for b in selects_from:
+    # from SELECT_MIN_N on, the ranks are selected before the sort and read after it
+    for n in (SELECT_MIN_N - 1, SELECT_MIN_N, 10**5):
+        for b in (0, 1, 3, 8):
             ranked = np.sort(np.random.default_rng(n + b).random(n))
             expected = ranked[quantile_indices(n, b) - 1].tolist()
             d = deploy(n, np.random.default_rng(n + b))
             assert d.n == n
             assert quantile_locations(d, b).tolist() == expected
-            assert ("locations" in vars(d)) == (n < selects_from[b]), (n, b)  # which path ran
+            assert ("locations" in vars(d)) == (n < SELECT_MIN_N)  # selected, not sorted
             for other in (8, 1, b):  # more selections on the same permuted buffer
                 assert quantile_locations(d, other).tolist() == ranked[
                     quantile_indices(n, other) - 1].tolist()
@@ -205,8 +202,7 @@ def test_deferred_draws_refuse_values_outside_the_unit_interval(bad):
 
 
 def test_a_deferred_draw_shared_by_four_threads_reads_exactly():
-    # b = 64 has fewer than SELECT_N_PER_RANK points per rank, so its read sorts the draw
-    n, bs = 10**5, (0, 1, 3, 8, 64)
+    n, bs = 10**5, (0, 1, 3, 8)
     ranked = np.sort(np.random.default_rng(41).random(n))
     expected = {b: ranked[quantile_indices(n, b) - 1].tolist() for b in bs}
     expected["all"] = ranked.tolist()

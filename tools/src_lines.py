@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Non-blank line counts of the package's modules, the size ROADMAP.md tracks.
 
-    python3 tools/src_lines.py [PACKAGE_DIR]
+    python3 tools/src_lines.py
 
-Prints one ``count  name`` line per ``*.py`` file of ``PACKAGE_DIR`` (default:
-``src/orderfield`` next to this script), sorted by name, then the total.  A
-line counts when it holds anything besides whitespace; comments and
-docstrings count.
+Prints one ``count  name`` line per ``*.py`` file of ``src/orderfield``, sorted
+by name, then the total.  A line counts when it holds anything besides
+whitespace; comments and docstrings count.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orderfield"
 
 
 def non_blank_lines(path: Path) -> int:
@@ -20,21 +20,12 @@ def non_blank_lines(path: Path) -> int:
         return sum(1 for line in fh if line.strip())
 
 
-DEFAULT_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orderfield"
-
-
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else DEFAULT_PACKAGE
-    files = sorted(package.glob("*.py"))
-    if not files:
-        print(f"src_lines: no *.py files under {package}", file=sys.stderr)
-        return 2
-    counts = {p.name: non_blank_lines(p) for p in files}
+def main() -> None:
+    counts = {p.name: non_blank_lines(p) for p in sorted(PACKAGE.glob("*.py"))}
     for name, count in counts.items():
         print(f"{count:6d}  {name}")
     print(f"{sum(counts.values()):6d}  total ({len(counts)} files)")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
