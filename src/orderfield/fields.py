@@ -214,6 +214,8 @@ def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
     g = np.asarray(g_vec, dtype=np.complex128)
     if g.ndim != 1 or g.size % 2 != 1:
         raise ValueError(f"expected an odd-length sample vector, got shape {g.shape}")
+    if not np.isfinite(g).all():  # refused before an infinity meets a zero in the product
+        raise ValueError("coefficients must be finite")
     c = _grid_to_coeffs(build_dft_matrix((g.size - 1) // 2), g)
     flags = _check_coeffs(c, capped=False)
     if np.abs(c.view(np.float64)).max() > MAX_COEFF * (1 + 1e-10):

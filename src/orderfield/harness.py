@@ -6,9 +6,11 @@ sweep can be reproduced in isolation, the first T trials of a cell do not
 depend on its trial count, and the outputs are byte-identical at every worker
 count: trial i writes only row i of the cell's arrays, allocated once with the
 ranks (`quantile_indices`): its field's 2b+2 raw uniforms (random mode only)
-and the 2b+1 ranked locations of its deployment.  The cell then builds and
-checks all its fields in one array step (`_fields_from_draws`, which scales
-the phases) and estimates them in another (`estimate_at`).
+and then the 2b+1 ranked locations of its deployment, from a sorted `deploy`
+draw below `RANKED_MIN_N` points and from `sample_quantile_locations` (2b+2
+Gamma draws, exact in law) from there on.  The cell then builds and checks
+all its fields in one array step (`_fields_from_draws`, which scales the
+phases) and estimates them in another (`estimate_at`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .fields import (
 )
 from .io import as_int, read_json, to_json, write_csv_lines, write_float_csv, write_json
 from .parallel import trial_map
-from .sampling import deploy, quantile_indices
+from .sampling import RANKED_MIN_N, deploy, quantile_indices, sample_quantile_locations
 
 MAX_SEED = 2**64
 MAX_TRIALS = 2**32  # a cap on a config's trial count, far beyond what a run can hold
@@ -205,7 +207,10 @@ def _cell_distortions(cfg: ExperimentConfig, b: int, n: int, fixed) -> np.ndarra
         rng = np.random.Generator(np.random.PCG64(_TrialSeed(states[i])))
         if draws is not None:
             rng.random(out=draws[i])
-        locs[i] = deploy(n, rng)._at(ranks)
+        if n >= RANKED_MIN_N:
+            locs[i] = sample_quantile_locations(n, b, 1, rng)[0]
+        else:
+            locs[i] = deploy(n, rng).locations[ranks]
 
     trial_map(one_trial, cfg.trials)
     coeffs = fixed.coeffs if fixed is not None else _fields_from_draws(b, draws)

@@ -30,7 +30,8 @@ def worker_count() -> int:
 
 def pool_size(count: int) -> int:
     """Threads for ``count`` trials: the requested workers, at most one per trial and CPU."""
-    return min(worker_count(), count, os.cpu_count() or 1)
+    workers = min(worker_count(), count)
+    return workers if workers <= 1 else min(workers, os.cpu_count() or 1)
 
 
 def trial_map(fn: Callable[[int], T], count: int) -> list[T]:

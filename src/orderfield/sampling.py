@@ -7,17 +7,15 @@ their locations, with the locations themselves dropped.  Simulation-side code
 that needs the hidden locations (covariance checks, order-statistic
 diagnostics) reads them from the `DeploymentDraw`; nothing on the estimation
 path accepts a draw.  Monte Carlo trials evaluate the field only at the 2b+1
-`quantile_locations`.  A draw of at least `SELECT_MIN_N` points from `deploy`
-is sorted only when its `locations` are first read; before that, its ranked
-locations are selected in place, without sorting the other points.
-`sample_quantile_locations` draws the ranked locations alone, exactly in law,
-without the other n - 2b - 1 points.
+`quantile_locations`.  `sample_quantile_locations` draws those ranked
+locations alone, exactly in law, without the other n - 2b - 1 points; a sweep
+trial of at least `RANKED_MIN_N` points draws them so, and a smaller one
+sorts a whole `deploy` draw, the reference path, which is cheaper there.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +24,14 @@ from .fields import FourierCoefficients, eval_field, _check_bandwidth, _freeze
 from .io import _FLOAT_CHUNK as _SAVE_CHUNK, write_float_csv, write_json
 
 MAX_SAMPLES = 10**8  # `sample` takes about 80 bytes per value (measured), so 8 GB at the cap
-SELECT_MIN_N = 2**14  # selection beats the sort from here at b <= 3 (from 2**15 at b <= 8)
+# A sweep trial of at least this many points draws its ranked locations alone
+# (`sample_quantile_locations`); below it, sorting a whole `deploy` draw costs less.
+RANKED_MIN_N = 2**11
 
 
 @dataclass(frozen=True, eq=False)
 class DeploymentDraw:
-    """I.i.d. uniform locations of one deployment, sorted; a caller's array is copied first.
-
-    A draw of at least `SELECT_MIN_N` fresh points from `deploy` is deferred:
-    it keeps the generator's buffer unsorted and sorts it in place when
-    `locations` is first read.  Until then `_at` selects ranks in that same
-    buffer.  One lock per deferred draw serialises both, since both permute it.
-    """
+    """I.i.d. uniform locations of one deployment, sorted; a caller's array is copied first."""
 
     locations: np.ndarray
 
@@ -46,13 +40,9 @@ class DeploymentDraw:
 
     @classmethod
     def _adopt(cls, loc: np.ndarray) -> "DeploymentDraw":
-        """A draw that keeps the fresh float64 array ``loc`` itself, not a copy."""
+        """A draw that sorts and keeps the fresh float64 array ``loc`` itself, not a copy."""
         d = object.__new__(cls)
-        if loc.size < SELECT_MIN_N:
-            d._keep_sorted(loc)
-        else:
-            object.__setattr__(d, "_raw", loc)
-            object.__setattr__(d, "_lock", threading.Lock())
+        d._keep_sorted(loc)
         return d
 
     def _keep_sorted(self, loc: np.ndarray) -> None:
@@ -63,52 +53,9 @@ class DeploymentDraw:
             raise ValueError("locations must lie in [0, 1]")
         object.__setattr__(self, "locations", _freeze(loc))
 
-    def __getattr__(self, name):
-        # reached only when `locations` is unset, that is on a deferred draw before its sort
-        if name != "locations" or "_raw" not in vars(self):
-            raise AttributeError(name)
-        with self._lock:
-            if "locations" not in vars(self):
-                self._keep_sorted(self._raw)
-        return vars(self)["locations"]
-
-    def _at(self, ranks0: np.ndarray) -> np.ndarray:
-        """The sorted locations at the zero-based, strictly increasing ``ranks0``.
-
-        A deferred draw not yet sorted partitions its buffer once per rank
-        instead, on int64 keys: the generator's doubles are non-negative and
-        never -0.0, and such doubles order as their bit patterns.  A value
-        outside [0, 1] or a NaN of either sign ends up below the first rank
-        or from the last rank up, where the check reads it.
-        """
-        if "locations" not in vars(self):
-            with self._lock:
-                if "locations" not in vars(self):
-                    x = self._raw
-                    _select(x.view(np.int64), ranks0)
-                    if not (x[: ranks0[0] + 1].min() >= 0.0 and x[ranks0[-1]:].max() <= 1.0):
-                        raise ValueError("locations must lie in [0, 1]")
-                    return x[ranks0]
-        return self.locations[ranks0]
-
     @property
     def n(self) -> int:
-        d = vars(self)
-        return d.get("locations", d.get("_raw")).size
-
-
-def _select(keys: np.ndarray, ranks0: np.ndarray, start: int = 0) -> None:
-    """Partition ``keys``, the draw from index ``start`` on, in place at each of ``ranks0``.
-
-    The middle rank goes first, then each half recurses on its own side: one
-    kth per call, since a multi-kth `np.partition` costs several sorts.
-    """
-    if ranks0.size:
-        mid = ranks0.size // 2
-        k = int(ranks0[mid]) - start
-        keys.partition(k)
-        _select(keys[:k], ranks0[:mid], start)
-        _select(keys[k + 1:], ranks0[mid + 1:], start + k + 1)
+        return self.locations.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +88,7 @@ def _check_sample_count(n: int) -> None:
 
 
 def deploy(n: int, rng: np.random.Generator) -> DeploymentDraw:
-    """Scatter ``n`` sensors at Uniform[0, 1] locations, ordering the fresh draw in place."""
+    """Scatter ``n`` sensors at Uniform[0, 1] locations, sorting the fresh draw in place."""
     _check_sample_count(n)
     return DeploymentDraw._adopt(rng.random(n))
 
@@ -171,9 +118,15 @@ def _ranks(n: int, m: int) -> np.ndarray:
     return _freeze(np.array([(n * l) // m + 1 for l in range(m)], dtype=np.int64))
 
 
+@functools.lru_cache(maxsize=64)
+def _gamma_shapes(n: int, m: int) -> np.ndarray:
+    """The Gamma gap shapes of `sample_quantile_locations`, read-only, per ``(n, m)``."""
+    return _freeze(np.diff(_ranks(n, m), prepend=0, append=n + 1).astype(np.float64))
+
+
 def quantile_locations(d: DeploymentDraw, b: int) -> np.ndarray:
     """The 2b+1 sorted locations at the `quantile_indices` ranks of the draw."""
-    return d._at(quantile_indices(d.n, b) - 1)
+    return d.locations[quantile_indices(d.n, b) - 1]
 
 
 # From 2**53 on, not every integer is a float64, so a Gamma shape could round.
@@ -193,7 +146,8 @@ def sample_quantile_locations(
     """
     if n >= EXACT_SHAPE_LIMIT:
         raise ValueError(f"sample count must be below 2**53 for exact Gamma shapes, got {n}")
-    shapes = np.diff(quantile_indices(n, b), prepend=0, append=n + 1)
+    quantile_indices(n, b)  # checks b and n
+    shapes = _gamma_shapes(n, 2 * b + 1)
     sums = np.cumsum(rng.standard_gamma(shapes, size=(trials, shapes.size)), axis=1)
     # each row is non-decreasing from >= 0 and divided by a sum at least its last entry
     return sums[:, :-1] / sums[:, -1:]

@@ -218,7 +218,7 @@ def test_coeff_sample_roundtrip(rng):
     for bad in (over, np.full(3, 1e300), np.full(3, 1e300j)):
         with pytest.raises(ValueError, match="at most"):
             coeffs_from_samples(bad)
-    for bad in (np.nan, complex(0.0, np.nan)):
+    for bad in (np.nan, complex(0.0, np.nan), np.inf, -np.inf, complex(0.0, -np.inf)):
         with pytest.raises(ValueError, match="finite"):
             coeffs_from_samples(np.array([0.5, bad, 0.25]))
 

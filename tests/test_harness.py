@@ -32,7 +32,7 @@ from orderfield.harness import (
     MAX_EVAL_POINTS, SWEEP_CSV_HEADER, _cell_distortions, _trial_seeds, _TrialSeed,
 )
 from orderfield.io import dumps_json, matrix_to_json, write_json
-from orderfield.sampling import MAX_SAMPLES, quantile_indices
+from orderfield.sampling import MAX_SAMPLES, RANKED_MIN_N, quantile_indices
 
 
 def small_config(**overrides):
@@ -184,19 +184,13 @@ def test_rank_only_trials_equal_the_full_path(b, fixed_field, complex_random_fie
     fixed = None
     if fixed_field:
         fixed = complex_random_field(b, np.random.default_rng(40 + b))
-    for n in sorted({2 * b + 1, 2 * b + 2, 50, 333, 1000}):
+    # RANKED_MIN_N - 1 is the largest n whose trials still sort a whole draw
+    for n in sorted({2 * b + 1, 2 * b + 2, 50, 333, 1000, RANKED_MIN_N - 1}):
         # a 32-bit and a 64-bit base seed: 3 and 4 SeedSequence words per cell
         for base_seed in (17 + n, 2**64 - 17 - n):
             cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=12, base_seed=base_seed)
             rank_only = _cell_distortions(cfg, b, n, fixed)
             assert rank_only.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()
-
-
-@pytest.mark.parametrize("n", [2**14, 10**5])
-@pytest.mark.parametrize("b", [0, 1, 3, 8])
-def test_rank_only_trials_match_the_full_path_at_large_n(b, n):
-    cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=4, base_seed=5)
-    assert (_cell_distortions(cfg, b, n, None) == _full_path_distortions(cfg, b, n, None)).all()
 
 
 @pytest.mark.parametrize("fixed_field", [False, True])
@@ -236,12 +230,14 @@ def test_cell_is_the_same_bytes_at_two_workers(monkeypatch, fixed_field, complex
     assert _cell_distortions(cfg, b, n, fixed).tobytes() == serial.tobytes()
 
 
-def test_sweep_trial_locations_have_exact_order_statistic_moments(monkeypatch):
+@pytest.mark.parametrize("n", [100, 10**5])
+def test_sweep_trial_locations_have_exact_order_statistic_moments(monkeypatch, n):
     # the ranked locations a random-field sweep cell estimates from, against the
     # exact Beta means r/(n+1) and Cov(U_(i), U_(j)) = i(n-j+1)/((n+1)^2 (n+2)), i <= j;
-    # and consecutive trials uncorrelated; over base seeds 1000..1039 the worst |z| of
-    # a mean was 2.9, of a lag-1 correlation 3.0, and the worst covariance error
-    # 0.044 of sd_i sd_j (U_(1)'s variance, whose error has a heavy tail)
+    # and consecutive trials uncorrelated; n = 100 sorts whole draws, n = 10^5 draws
+    # Gamma gaps.  Over base seeds 1000..1039 the worst |z| of a mean was 2.9 and 3.85,
+    # of a lag-1 correlation 3.0 and 2.5, and the worst covariance error 0.044 and
+    # 0.053 of sd_i sd_j (U_(1)'s variance at n = 100, whose error has a heavy tail)
     seen = []
 
     def capture(coeffs, locs):
@@ -249,7 +245,7 @@ def test_sweep_trial_locations_have_exact_order_statistic_moments(monkeypatch):
         return estimate_at(coeffs, locs)
 
     monkeypatch.setattr(harness, "estimate_at", capture)
-    b, n, trials = 1, 100, 20_000
+    b, trials = 1, 20_000
     cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=trials, base_seed=7)
     _cell_distortions(cfg, b, n, None)
     (locs,) = seen

@@ -22,7 +22,7 @@ from orderfield import (
     save_samples,
 )
 from orderfield.fields import eval_field
-from orderfield.sampling import _SAVE_CHUNK, SELECT_MIN_N
+from orderfield.sampling import _SAVE_CHUNK
 
 
 def test_deploy_draws_uniform_locations(rng):
@@ -154,16 +154,15 @@ def test_quantile_locations_read_the_sorted_draw_at_the_ranks(rng):
         npt.assert_array_equal(d.locations, before)
     with pytest.raises(ValueError):
         quantile_locations(deploy(4, rng), 2)
-    # from SELECT_MIN_N on, the ranks are selected before the sort and read after it
-    for n in (SELECT_MIN_N - 1, SELECT_MIN_N, 10**5):
+    # large draws: the ranks of the generator's own draw, read repeatedly
+    for n in (2**14 - 1, 2**14, 10**5):
         for b in (0, 1, 3, 8):
             ranked = np.sort(np.random.default_rng(n + b).random(n))
             expected = ranked[quantile_indices(n, b) - 1].tolist()
             d = deploy(n, np.random.default_rng(n + b))
             assert d.n == n
             assert quantile_locations(d, b).tolist() == expected
-            assert ("locations" in vars(d)) == (n < SELECT_MIN_N)  # selected, not sorted
-            for other in (8, 1, b):  # more selections on the same permuted buffer
+            for other in (8, 1, b):
                 assert quantile_locations(d, other).tolist() == ranked[
                     quantile_indices(n, other) - 1].tolist()
             assert d.locations.tolist() == ranked.tolist()
@@ -184,21 +183,12 @@ class _DrawWith:
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, np.copysign(np.nan, -1.0)])
-def test_deferred_draws_refuse_values_outside_the_unit_interval(bad):
-    # a negative NaN's int64 key is negative, so it is selected to the bottom;
-    # a check written as `low.min() < 0.0` would let it through
-    n = SELECT_MIN_N
-    for where in (0, n // 3, n - 1):
-        for b in (0, 1, 3):
-            d = deploy(n, _DrawWith(bad, where))
+def test_deploy_refuses_values_outside_the_unit_interval_at_every_n(bad):
+    # a NaN of either sign sorts last, where the check reads it
+    for n in (1, 7, 2**14 - 1, 2**14, 10**5):
+        for where in {0, n // 3, n - 1}:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                quantile_locations(d, b)
-            with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                d.locations
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            deploy(n, _DrawWith(bad, where)).locations
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            deploy(n - 1, _DrawWith(bad, where % (n - 1)))
+                deploy(n, _DrawWith(bad, where))
 
 
 def test_a_deferred_draw_shared_by_four_threads_reads_exactly():
