@@ -40,7 +40,7 @@ class DeploymentDraw:
 
     @classmethod
     def _adopt(cls, loc: np.ndarray) -> "DeploymentDraw":
-        """A draw that sorts and keeps the fresh float64 array ``loc`` itself, not a copy."""
+        """A draw that keeps the fresh float64 array ``loc`` itself, not a copy."""
         d = object.__new__(cls)
         d._keep_sorted(loc)
         return d
@@ -88,7 +88,7 @@ def _check_sample_count(n: int) -> None:
 
 
 def deploy(n: int, rng: np.random.Generator) -> DeploymentDraw:
-    """Scatter ``n`` sensors at Uniform[0, 1] locations, sorting the fresh draw in place."""
+    """Scatter ``n`` sensors at Uniform[0, 1] locations, ordering the fresh draw in place."""
     _check_sample_count(n)
     return DeploymentDraw._adopt(rng.random(n))
 
