@@ -27,12 +27,14 @@ from orderfield import (
 from orderfield import cli, harness, parallel
 from orderfield.estimator import estimate_at
 from orderfield.ambiguity import MAX_GRID
-from orderfield.fields import MAX_BANDWIDTH, MAX_COEFF, FourierCoefficients
+from orderfield.fields import MAX_BANDWIDTH, MAX_COEFF, FourierCoefficients, eval_field
 from orderfield.harness import (
     MAX_EVAL_POINTS, SWEEP_CSV_HEADER, _cell_distortions, _trial_seeds, _TrialSeed,
 )
 from orderfield.io import dumps_json, matrix_to_json, write_json
-from orderfield.sampling import MAX_SAMPLES, RANKED_MIN_N, quantile_indices
+from orderfield.sampling import (
+    MAX_SAMPLES, RANKED_MIN_N, SampleSet, quantile_indices, sample_quantile_locations,
+)
 
 
 def small_config(**overrides):
@@ -191,6 +193,31 @@ def test_rank_only_trials_equal_the_full_path(b, fixed_field, complex_random_fie
             cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=12, base_seed=base_seed)
             rank_only = _cell_distortions(cfg, b, n, fixed)
             assert rank_only.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()
+
+
+def _ranked_path_distortions(cfg, b, n):
+    """Reference trials from `RANKED_MIN_N` points on: each trial's field, then its
+    2b+1 ranked locations from `sample_quantile_locations` on the same PCG64, the
+    field's values there set at their ranks of an n-value `SampleSet`, then
+    `estimate_coeffs`."""
+    out = []
+    ranks0 = quantile_indices(n, b) - 1
+    for state in _trial_seeds(cfg.base_seed, b, n, cfg.trials):
+        rng = np.random.Generator(np.random.PCG64(_TrialSeed(state)))
+        field = random_field(b, rng)
+        values = np.zeros(n, dtype=np.complex128)
+        values[ranks0] = eval_field(field, sample_quantile_locations(n, b, 1, rng)[0])
+        out.append(distortion(estimate_coeffs(SampleSet(values), b), field))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2**14, 10**5])
+@pytest.mark.parametrize("b", [0, 1, 3, 8])
+def test_rank_only_trials_match_the_full_path_at_large_n(b, n):
+    # the batched cell against one trial at a time through the public estimator
+    assert n >= RANKED_MIN_N
+    cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=4, base_seed=5)
+    assert (_cell_distortions(cfg, b, n, None) == _ranked_path_distortions(cfg, b, n)).all()
 
 
 @pytest.mark.parametrize("fixed_field", [False, True])
