@@ -55,6 +55,8 @@ CONFIGS = {
     "cfg_seed64.json": dict(b_list=[1, 3], n_list=[50, 200], trials=9, base_seed=2**64 - 59),
     "cfg_select.json": dict(b_list=[0, 1, 3, 8], n_list=[16383, 16384, 100000], trials=3,
                             base_seed=2**64 - 101),
+    "cfg_mixed.json": dict(b_list=[0, 2, 8], n_list=[17, 2047, 2048, 100000], trials=1,
+                           base_seed=21),
     "cfg_points.json": dict(b_list=[0, 1, 3], n_list=[40, 150], trials=11, base_seed=13,
                             eval_points=[-1.75, -0.3, 0.0, 0.125, 0.5, 0.999, 1.0, 2.6]),
 }
@@ -129,6 +131,8 @@ COMMANDS = [
     # deployments of 2**14 - 1, 2**14 and 10**5 points, read by rank (sweep) and in full (estimate)
     ("mse-sweep", "--config", "cfg_select.json", "--out", "sweep_select"),
     ("estimate", "--field", FIELD, "--n", "16384", "--seed", "12"),
+    # one trial per cell (stderr 0), and n on both sides of RANKED_MIN_N = 2**11 in each bandwidth
+    ("mse-sweep", "--config", "cfg_mixed.json", "--out", "sweep_mixed"),
 ]
 
 
