@@ -4,13 +4,13 @@ Each sweep cell seeds one ``SeedSequence((base_seed, b, n))``, and row i of
 its output states (`_trial_seeds`) seeds trial i's PCG64, so any cell of any
 sweep can be reproduced in isolation, the first T trials of a cell do not
 depend on its trial count, and the outputs are byte-identical at every worker
-count: trial i writes only row i of the cell's arrays, allocated once with the
-ranks (`quantile_indices`): its field's 2b+2 raw uniforms (random mode only)
-and then the 2b+1 ranked locations of its deployment, from a sorted `deploy`
-draw below `RANKED_MIN_N` points and from `sample_quantile_locations` (2b+2
-Gamma draws, exact in law) from there on.  The cell then builds and checks
-all its fields in one array step (`_fields_from_draws`, which scales the
-phases) and estimates them in another (`estimate_at`).
+count: trial i of cell j writes only row (j, i) of its bandwidth's arrays: its
+field's 2b+2 raw uniforms (random mode only), then the 2b+1 ranked locations
+of a sorted `deploy` draw below `RANKED_MIN_N` points, or from there on the
+2b+2 Gamma gaps the cell turns into ranked locations (`_renyi_locations`).
+Each bandwidth then builds and checks all its fields in one array step
+(`_fields_from_draws`) and estimates them in another (`estimate_at`); the
+sweep reduces every cell's mean and standard error in one more.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .fields import (
 )
 from .io import as_int, read_json, to_json, write_csv_lines, write_float_csv, write_json
 from .parallel import trial_map
-from .sampling import RANKED_MIN_N, deploy, quantile_indices, sample_quantile_locations
+from .sampling import RANKED_MIN_N, _renyi_locations, deploy, quantile_indices
 
 MAX_SEED = 2**64
 MAX_TRIALS = 2**32  # a cap on a config's trial count, far beyond what a run can hold
@@ -197,24 +197,38 @@ class _TrialSeed(ISeedSequence):
         return self.state
 
 
-def _cell_distortions(cfg: ExperimentConfig, b: int, n: int, fixed) -> np.ndarray:
-    states = _trial_seeds(cfg.base_seed, b, n, cfg.trials)
-    ranks = quantile_indices(n, b) - 1
-    locs = np.empty((cfg.trials, 2 * b + 1))
-    draws = np.empty((cfg.trials, 2 * b + 2)) if fixed is None else None
+def _bandwidth_distortions(cfg: ExperimentConfig, b: int, fixed) -> np.ndarray:
+    """The ``(len(n_list), trials)`` distortions of bandwidth b, row j its n_list[j] cell's."""
+    shape, m = (len(cfg.n_list), cfg.trials), 2 * b + 1
+    locs = np.empty((*shape, m))
+    draws = np.empty((*shape, m + 1)) if fixed is None else None
+    for j, n in enumerate(cfg.n_list):
+        states = _trial_seeds(cfg.base_seed, b, n, cfg.trials)
+        ranks = quantile_indices(n, b) - 1
 
-    def one_trial(i):
-        rng = np.random.Generator(np.random.PCG64(_TrialSeed(states[i])))
-        if draws is not None:
-            rng.random(out=draws[i])
+        # given Gamma shapes by `_renyi_locations`, the trials draw gaps in place of a deploy
+        def run_trials(shapes=None):
+            gaps = None if shapes is None else np.empty((cfg.trials, shapes.size))
+
+            def one_trial(i):
+                rng = np.random.Generator(np.random.PCG64(_TrialSeed(states[i])))
+                if draws is not None:
+                    rng.random(out=draws[j, i])
+                if gaps is None:
+                    locs[j, i] = deploy(n, rng).locations[ranks]
+                else:
+                    rng.standard_gamma(shapes, out=gaps[i])
+
+            trial_map(one_trial, cfg.trials)
+            return gaps
+
         if n >= RANKED_MIN_N:
-            locs[i] = sample_quantile_locations(n, b, 1, rng)[0]
+            locs[j] = _renyi_locations(n, b, run_trials)
         else:
-            locs[i] = deploy(n, rng).locations[ranks]
-
-    trial_map(one_trial, cfg.trials)
-    coeffs = fixed.coeffs if fixed is not None else _fields_from_draws(b, draws)
-    return np.sum(np.abs(estimate_at(coeffs, locs) - coeffs) ** 2, axis=1)
+            run_trials()
+    coeffs = fixed.coeffs if fixed is not None else _fields_from_draws(b, draws.reshape(-1, m + 1))
+    est = estimate_at(coeffs, locs.reshape(-1, m))
+    return np.sum(np.abs(est - coeffs) ** 2, axis=1).reshape(shape)
 
 
 def loglog_slope(n_values, means) -> float:
@@ -236,27 +250,18 @@ def run_mse_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.eval_points is not None:
         raise ValueError("eval_points applies to clt-check only; remove it from the sweep config")
     fixed = _resolve_field(cfg)
-    rows = []
-    slopes = {}
-    for b in cfg.b_list:
-        cell_means = []
-        for n in cfg.n_list:
-            dists = _cell_distortions(cfg, b, n, fixed)
-            mean = float(np.mean(dists))
-            stderr = float(np.std(dists, ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-            rows.append(
-                SweepRow(
-                    b=b,
-                    n=n,
-                    trials=cfg.trials,
-                    mean_distortion=mean,
-                    stderr=stderr,
-                    n_times_mse=float(n * mean),
-                    bound=distortion_bound(b),
-                )
-            )
-            cell_means.append(mean)
-        slopes[b] = loglog_slope(cfg.n_list, cell_means)
+    dists = np.stack([_bandwidth_distortions(cfg, b, fixed) for b in cfg.b_list])
+    means = np.mean(dists, axis=-1)
+    sds = np.std(dists, axis=-1, ddof=1) if cfg.trials > 1 else np.zeros_like(means)
+    stderrs = sds / math.sqrt(cfg.trials)
+    rows = [
+        SweepRow(b=b, n=n, trials=cfg.trials, mean_distortion=mean, stderr=stderr,
+                 n_times_mse=float(n * mean), bound=distortion_bound(b))
+        for b, b_means, b_errs in zip(cfg.b_list, means.tolist(), stderrs.tolist())
+        for n, mean, stderr in zip(cfg.n_list, b_means, b_errs)
+    ]
+    # one polyfit per bandwidth: a stacked polyfit's slopes differ in the last bits from 8 n on
+    slopes = {b: loglog_slope(cfg.n_list, m) for b, m in zip(cfg.b_list, means)}
     report = ExperimentReport(rows=tuple(rows), slopes=slopes)
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from orderfield.estimator import estimate_at
 from orderfield.ambiguity import MAX_GRID
 from orderfield.fields import MAX_BANDWIDTH, MAX_COEFF, FourierCoefficients, eval_field
 from orderfield.harness import (
-    MAX_EVAL_POINTS, SWEEP_CSV_HEADER, _cell_distortions, _trial_seeds, _TrialSeed,
+    MAX_EVAL_POINTS, SWEEP_CSV_HEADER, _bandwidth_distortions, _trial_seeds, _TrialSeed,
 )
 from orderfield.io import dumps_json, matrix_to_json, write_json
 from orderfield.sampling import (
@@ -191,7 +192,7 @@ def test_rank_only_trials_equal_the_full_path(b, fixed_field, complex_random_fie
         # a 32-bit and a 64-bit base seed: 3 and 4 SeedSequence words per cell
         for base_seed in (17 + n, 2**64 - 17 - n):
             cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=12, base_seed=base_seed)
-            rank_only = _cell_distortions(cfg, b, n, fixed)
+            rank_only = _bandwidth_distortions(cfg, b, fixed)[0]
             assert rank_only.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()
 
 
@@ -217,7 +218,7 @@ def test_rank_only_trials_match_the_full_path_at_large_n(b, n):
     # the batched cell against one trial at a time through the public estimator
     assert n >= RANKED_MIN_N
     cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=4, base_seed=5)
-    assert (_cell_distortions(cfg, b, n, None) == _ranked_path_distortions(cfg, b, n)).all()
+    assert (_bandwidth_distortions(cfg, b, None)[0] == _ranked_path_distortions(cfg, b, n)).all()
 
 
 @pytest.mark.parametrize("fixed_field", [False, True])
@@ -227,7 +228,7 @@ def test_batched_cell_equals_the_full_path_above_16384_values(fixed_field, compl
     b, n = 3, 50
     fixed = complex_random_field(b, np.random.default_rng(7)) if fixed_field else None
     cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=2400, base_seed=11)
-    batched = _cell_distortions(cfg, b, n, fixed)
+    batched = _bandwidth_distortions(cfg, b, fixed)[0]
     assert batched.tolist() == _full_path_distortions(cfg, b, n, fixed).tolist()
 
 
@@ -239,8 +240,8 @@ def test_sweep_cell_is_prefix_stable(fixed_field, complex_random_field):
     for base_seed in (20260822, 2**64 - 59):
         short = ExperimentConfig(b_list=[b], n_list=[n], trials=trials, base_seed=base_seed)
         long = ExperimentConfig(b_list=[b], n_list=[n], trials=2 * trials, base_seed=base_seed)
-        head = _cell_distortions(long, b, n, fixed)[:trials]
-        assert head.tolist() == _cell_distortions(short, b, n, fixed).tolist()
+        head = _bandwidth_distortions(long, b, fixed)[0][:trials]
+        assert head.tolist() == _bandwidth_distortions(short, b, fixed)[0].tolist()
 
 
 @pytest.mark.parametrize("fixed_field", [False, True])
@@ -250,11 +251,66 @@ def test_cell_is_the_same_bytes_at_two_workers(monkeypatch, fixed_field, complex
     fixed = complex_random_field(b, np.random.default_rng(8)) if fixed_field else None
     cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=trials, base_seed=31)
     monkeypatch.delenv(parallel.ENV_THREADS, raising=False)
-    serial = _cell_distortions(cfg, b, n, fixed)
+    serial = _bandwidth_distortions(cfg, b, fixed)[0]
     monkeypatch.setenv(parallel.ENV_THREADS, "2")
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
     assert parallel.pool_size(trials) == 2
-    assert _cell_distortions(cfg, b, n, fixed).tobytes() == serial.tobytes()
+    assert _bandwidth_distortions(cfg, b, fixed)[0].tobytes() == serial.tobytes()
+
+
+def _bits(row):
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("trials", [1, 2, 37])
+@pytest.mark.parametrize("fixed_field", [False, True])
+def test_sweep_rows_and_slopes_equal_single_cell_sweeps(
+    monkeypatch, tmp_path, workers, trials, fixed_field, complex_random_field
+):
+    # a bandwidth's cells are estimated together; each row must still be its own cell's,
+    # bitwise, with n on both sides of RANKED_MIN_N and every slope the row-by-row fit
+    monkeypatch.setenv(parallel.ENV_THREADS, str(workers))
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    base = dict(n_list=[11, 300, RANKED_MIN_N - 1, RANKED_MIN_N, 10**5], trials=trials,
+                base_seed=2**64 - 3 * trials)
+    if fixed_field:
+        path = tmp_path / "field.json"
+        write_json(path, complex_random_field(5, np.random.default_rng(trials)).to_json_dict())
+        base.update(b_list=[5], field_source=str(path))
+    else:
+        base.update(b_list=[0, 2, 5])
+    report = run_mse_sweep(ExperimentConfig(**base))
+    cells = [(b, n) for b in base["b_list"] for n in base["n_list"]]
+    assert [(r.b, r.n) for r in report.rows] == cells
+    for row, (b, n) in zip(report.rows, cells):
+        (alone,) = run_mse_sweep(ExperimentConfig(**{**base, "b_list": [b], "n_list": [n]})).rows
+        assert _bits(row) == _bits(alone)
+    for b in base["b_list"]:
+        means = [r.mean_distortion for r in report.rows if r.b == b]
+        assert report.slopes[b].hex() == loglog_slope(base["n_list"], means).hex()
+    assert trials > 1 or all(r.stderr == 0.0 for r in report.rows)
+
+
+def test_sweep_slopes_are_row_by_row_fits_at_nine_n_values():
+    # from 8 n values on, one polyfit over a stack of mean rows differs from the
+    # row-by-row fits in the last bits (at this seed, for b = 1)
+    cfg = ExperimentConfig(b_list=[0, 1, 2, 3], n_list=[7 * 2**k for k in range(9)], trials=3,
+                           base_seed=8)
+    report = run_mse_sweep(cfg)
+    for b in cfg.b_list:
+        means = [r.mean_distortion for r in report.rows if r.b == b]
+        assert report.slopes[b].hex() == loglog_slope(cfg.n_list, means).hex()
+    assert math.isnan(report.slopes[0])
+
+
+def test_sweep_refuses_2_to_the_53_points_and_runs_just_below():
+    cfg = ExperimentConfig(b_list=[1], n_list=[2**53], trials=2, base_seed=4)
+    with pytest.raises(ValueError, match=r"sample count must be below 2\*\*53 for exact Gamma"):
+        run_mse_sweep(cfg)
+    (row,) = run_mse_sweep(ExperimentConfig(b_list=[1], n_list=[2**53 - 1], trials=2,
+                                            base_seed=4)).rows
+    assert math.isfinite(row.n_times_mse) and row.stderr >= 0.0
 
 
 @pytest.mark.parametrize("n", [100, 10**5])
@@ -274,7 +330,7 @@ def test_sweep_trial_locations_have_exact_order_statistic_moments(monkeypatch, n
     monkeypatch.setattr(harness, "estimate_at", capture)
     b, trials = 1, 20_000
     cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=trials, base_seed=7)
-    _cell_distortions(cfg, b, n, None)
+    _bandwidth_distortions(cfg, b, None)
     (locs,) = seen
     r = quantile_indices(n, b).astype(np.float64)
     lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)

@@ -191,7 +191,9 @@ def test_deploy_refuses_values_outside_the_unit_interval_at_every_n(bad):
                 deploy(n, _DrawWith(bad, where))
 
 
-def test_a_deferred_draw_shared_by_four_threads_reads_exactly():
+def test_one_sorted_read_only_draw_reads_exactly_from_four_threads():
+    # `deploy` sorts at once and freezes the array, so four threads reading one draw
+    # together, by rank and in full, all see the sorted values of a single-threaded read
     n, bs = 10**5, (0, 1, 3, 8)
     ranked = np.sort(np.random.default_rng(41).random(n))
     expected = {b: ranked[quantile_indices(n, b) - 1].tolist() for b in bs}
