@@ -289,7 +289,6 @@ def test_sweep_rows_and_slopes_equal_single_cell_sweeps(
     for b in base["b_list"]:
         means = [r.mean_distortion for r in report.rows if r.b == b]
         assert report.slopes[b].hex() == loglog_slope(base["n_list"], means).hex()
-    assert trials > 1 or all(r.stderr == 0.0 for r in report.rows)
 
 
 def test_sweep_slopes_are_row_by_row_fits_at_nine_n_values():
@@ -301,7 +300,6 @@ def test_sweep_slopes_are_row_by_row_fits_at_nine_n_values():
     for b in cfg.b_list:
         means = [r.mean_distortion for r in report.rows if r.b == b]
         assert report.slopes[b].hex() == loglog_slope(cfg.n_list, means).hex()
-    assert math.isnan(report.slopes[0])
 
 
 def test_sweep_refuses_2_to_the_53_points_and_runs_just_below():
