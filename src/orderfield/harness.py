@@ -31,7 +31,7 @@ from .fields import (
 )
 from .io import as_int, read_json, to_json, write_csv_lines, write_float_csv, write_json
 from .parallel import trial_map
-from .sampling import RANKED_MIN_N, _renyi_locations, deploy, quantile_indices
+from .sampling import EXACT_SHAPE_LIMIT, RANKED_MIN_N, _renyi_locations, deploy, quantile_indices
 
 MAX_SEED = 2**64
 MAX_TRIALS = 2**32  # a cap on a config's trial count, far beyond what a run can hold
@@ -77,6 +77,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"every n must be >= {needed} (= 2*max(b)+1), got n={min(n_list)}"
             )
+        if max(n_list) >= EXACT_SHAPE_LIMIT:  # the sampler's limit, known before any cell runs
+            raise ValueError("sample count must be below 2**53 for exact Gamma shapes, "
+                             f"got {max(n_list)}")
         trials = as_int(self.trials, "trials")
         if not 1 <= trials < MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, 2^32), got {trials}")
@@ -159,11 +162,13 @@ class ExperimentReport:
     rows: tuple
     slopes: dict
 
+    def _json_doc(self):
+        """The sweep.json document, its rows left as `SweepRow` objects for `dumps_json`."""
+        slopes = {str(b): _json_float(s) for b, s in self.slopes.items()}
+        return {"rows": self.rows, "slopes": slopes}
+
     def to_json_dict(self):
-        return {
-            "rows": [r.to_json_dict() for r in self.rows],
-            "slopes": {str(b): _json_float(s) for b, s in self.slopes.items()},
-        }
+        return to_json(self._json_doc())
 
 
 def _resolve_field(cfg: ExperimentConfig):
@@ -266,7 +271,7 @@ def run_mse_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
         write_sweep_csv(report, os.path.join(cfg.output_dir, "sweep.csv"))
-        write_json(os.path.join(cfg.output_dir, "sweep.json"), report.to_json_dict())
+        write_json(os.path.join(cfg.output_dir, "sweep.json"), report._json_doc())
     return report
 
 
@@ -303,8 +308,7 @@ def run_clt_check(cfg: ExperimentConfig, eval_points=None):
             )
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
-        payload = {"checks": [r.to_json_dict() for r in reports]}
-        write_json(os.path.join(cfg.output_dir, "clt.json"), payload)
+        write_json(os.path.join(cfg.output_dir, "clt.json"), {"checks": reports})
     return reports
 
 

@@ -2,9 +2,12 @@
 
 JSON documents are written with two-space indent, sorted keys and a
 trailing newline: the text `dumps_json` returns is exactly that of
-``json.dumps(doc, indent=2, sort_keys=True)``, with ASCII-escaped strings,
-``repr`` numbers, ``true``/``false``/``null``, and ``NaN``, ``Infinity`` and
-``-Infinity`` for non-finite floats.  Every JSON document and CSV the
+``json.dumps(to_json(doc), indent=2, sort_keys=True)``, with ASCII-escaped
+strings, ``repr`` numbers, ``true``/``false``/``null``, and ``NaN``,
+``Infinity`` and ``-Infinity`` for non-finite floats.  It takes report
+dataclasses, 2-D arrays, complex numbers and numpy scalars as they are, and
+writes each flat record (all values exact floats, ints or complex numbers)
+with one cached format.  Every JSON document and CSV the
 package writes goes through here, a CSV as one comma-separated line per row,
 and each file is written over in place and then cut to its new length.
 `write_float_csv`, the one writer of float CSVs (``samples.csv``, the
@@ -63,11 +66,14 @@ def to_json(x):
 
     Dataclasses become objects of their fields, 2-D arrays `matrix_to_json`
     documents, complex numbers ``[re, im]`` pairs, tuples and lists lists,
-    and numpy scalars the matching Python numbers.
+    dicts dicts of converted values, and numpy scalars the matching Python
+    numbers.  `dumps_json` takes the same values unconverted.
     """
     names = _field_names(type(x))
     if names is not None:
         return {name: to_json(getattr(x, name)) for name in names}
+    if isinstance(x, dict):
+        return {k: to_json(v) for k, v in x.items()}
     if isinstance(x, np.ndarray):
         return matrix_to_json(x)
     if isinstance(x, (complex, np.complexfloating)):
@@ -79,8 +85,9 @@ def to_json(x):
 
 @functools.lru_cache(maxsize=None)
 def _field_names(cls) -> tuple | None:
-    """The field names of a dataclass type, else None; looked up once per type."""
-    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
+    """The sorted field names of a dataclass type, else None; looked up once per type."""
+    is_record = dataclasses.is_dataclass(cls)
+    return tuple(sorted(f.name for f in dataclasses.fields(cls))) if is_record else None
 
 
 def as_int(value, name: str) -> int:
@@ -91,12 +98,14 @@ def as_int(value, name: str) -> int:
 
 
 def dumps_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for JSON data.
+    """``json.dumps(to_json(doc), indent=2, sort_keys=True)``, byte for byte.
 
-    The stdlib takes its C encoder only without ``indent``; this walks the
-    document once, renders each list of finite ``[re, im]`` float pairs with
-    a single ``%`` format, and writes plain leaves (floats, strings, ints,
-    booleans, None) inline in their list or object.  Keys must be strings.
+    The stdlib takes its C encoder only without ``indent``; this walks ``doc``
+    once, without building `to_json`'s tree.  A list of ``[re, im]`` float
+    pairs, a 2-D array's pairs, and each flat record (a dict or report
+    dataclass whose values are all exact floats, ints or complex numbers) are
+    written with one format, a record's cached per keys, value types and
+    indent, unless a value is not finite.  Keys must be strings.
     """
     out = []
     _encode(doc, "\n", out.append)
@@ -104,34 +113,24 @@ def dumps_json(doc) -> str:
 
 
 def _encode(x, newline: str, emit) -> None:
-    """Append the text of ``x`` at the indent that ``newline`` ends with.
-
-    Leaves of the exact types in `_LEAF_TEXT` are written where their list or
-    object is, without a call of this function per leaf.
-    """
-    leaf = _LEAF_TEXT.get(type(x))
-    if leaf is not None:
-        emit(leaf(x))
+    """Append the text of ``x`` at the indent that ``newline`` ends with."""
+    if x is None or isinstance(x, bool):
+        emit("null" if x is None else "true" if x else "false")
     elif isinstance(x, float):
         emit(_float_text(x))
     elif isinstance(x, str):
         emit(encode_basestring_ascii(x))
-    elif isinstance(x, int):  # bool cannot be subclassed, so True and False are leaves
+    elif isinstance(x, int):
         emit(int.__repr__(x))
     elif isinstance(x, (list, tuple)):
         if not x:
             emit("[]")
             return
+        pairs = _pair_floats(x)
+        if pairs is not None and "n" not in (text := _pairs_format(len(x), newline) % pairs):
+            emit(text)  # finite: the repr of a finite float holds no n, as nan and inf do
+            return
         inner = newline + "  "
-        pairs = _finite_pair_floats(x)
-        if pairs is not None:
-            item = f"{inner}[{inner}  %r,{inner}  %r{inner}]"
-            emit("[" + ",".join([item] * len(x)) % pairs + newline + "]")
-            return
-        if set(map(type, x)) <= _LEAF_TEXT.keys():
-            emit("[" + inner + ("," + inner).join([_LEAF_TEXT[type(v)](v) for v in x])
-                 + newline + "]")
-            return
         sep = "[" + inner
         for v in x:
             emit(sep)
@@ -139,24 +138,64 @@ def _encode(x, newline: str, emit) -> None:
             sep = "," + inner
         emit(newline + "]")
     elif isinstance(x, dict):
-        if not x:
-            emit("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for k, v in sorted(x.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            leaf = _LEAF_TEXT.get(type(v))
-            if leaf is not None:
-                emit(sep + encode_basestring_ascii(k) + ": " + leaf(v))
-            else:
-                emit(sep + encode_basestring_ascii(k) + ": ")
-                _encode(v, inner, emit)
-            sep = "," + inner
-        emit(newline + "}")
+        keys = tuple(sorted(x))
+        _encode_record(keys, [x[k] for k in keys], newline, emit)
+    elif (keys := _field_names(type(x))) is not None:
+        _encode_record(keys, [getattr(x, k) for k in keys], newline, emit)
+    elif isinstance(x, np.ndarray):  # the `matrix_to_json` document
+        inner, (rows, cols) = newline + "  ", x.shape
+        flat = np.asarray(x, np.complex128).ravel().view(np.float64).tolist()
+        data = _pairs_format(rows * cols, inner) % tuple(flat)
+        if "n" in data:
+            return _encode(matrix_to_json(x), newline, emit)
+        emit(f'{{{inner}"data": {data},{inner}"shape": [{inner}  {rows},{inner}  {cols}{inner}]'
+             + newline + "}")
+    elif isinstance(x, (complex, np.complexfloating)):
+        _encode(pair(x), newline, emit)
+    elif isinstance(x, np.generic):
+        _encode(x.item(), newline, emit)
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _encode_record(keys: tuple, values: list, newline: str, emit) -> None:
+    """Append the object of the sorted ``keys`` and their ``values``, in one format
+    when `_record_layout` has one and every value is finite."""
+    heads, fmt = _record_layout(keys, tuple(map(type, values)), newline)
+    text = fmt and fmt.format(*values)
+    if text and "nan" not in text and "inf" not in text:  # every value was finite
+        emit(text)
+        return
+    inner = newline + "  "
+    for head, v in zip(heads, values):
+        emit(head)
+        _encode(v, inner, emit)
+    emit(newline + "}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _record_layout(keys: tuple, types: tuple, newline: str):
+    """The text before each value of an object and, when every value type is exactly
+    float, int or complex (``!r`` of an ``np.float64`` is ``np.float64(0.1)``), its
+    `str.format` format.  The repr of a finite float or an int holds neither ``nan``
+    nor ``inf``, so formatted text without them has only finite values."""
+    inner = newline + "  "
+    heads = [("," if i else "{") + inner + encode_basestring_ascii(k) + ": "
+             for i, k in enumerate(keys)]
+    value = {float: "{0!r}", int: "{0!r}",  # the value at position 0, numbered below
+             complex: f"[{inner}  {{0.real!r}},{inner}  {{0.imag!r}}{inner}]"}
+    if not set(types) <= value.keys():
+        return heads, None
+    body = "".join(h.replace("{", "{{").replace("}", "}}") + value[t].replace("0", str(i))
+                   for i, (h, t) in enumerate(zip(heads, types)))
+    return heads, body + newline + "}}" if keys else "{{}}"
+
+
+def _pairs_format(count: int, newline: str) -> str:
+    """The ``%`` format of a list of ``count`` ``[re, im]`` pairs at that indent."""
+    inner = newline + "  "
+    pairs = (f",{inner}[{inner}  %r,{inner}  %r{inner}]" * count)[1:]
+    return "[" + pairs + newline + "]" if count else "[]"
 
 
 def _float_text(x: float) -> str:
@@ -165,28 +204,12 @@ def _float_text(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-# the text of a JSON leaf of exactly one of these types; subclasses take `_encode`'s tests
-_LEAF_TEXT = {
-    float: _float_text,
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda x: "null",
-}
-
-
-def _finite_pair_floats(x):
-    """The flattened values of a list of 2-lists of finite exact floats, else None.
-
-    ``%r`` is ``float.__repr__`` only for exact floats, and gives ``nan`` and
-    ``inf`` where JSON text needs ``NaN`` and ``Infinity``.
-    """
+def _pair_floats(x):
+    """The flattened values of a list of 2-lists of exact floats (for ``%r``), else None."""
     if set(map(type, x)) != {list} or set(map(len, x)) != {2}:
         return None
     flat = tuple(chain.from_iterable(x))
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-        return None
-    return flat
+    return flat if set(map(type, flat)) == {float} else None
 
 
 def _write_in_place(path, chunks) -> None:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import numpy.testing as npt
@@ -32,6 +33,8 @@ from orderfield.fields import MAX_BANDWIDTH, MAX_COEFF, FourierCoefficients, eva
 from orderfield.harness import (
     MAX_EVAL_POINTS, SWEEP_CSV_HEADER, _bandwidth_distortions, _trial_seeds, _TrialSeed,
 )
+from orderfield.asymptotics import PointwiseCheck, QuantileMoments
+from orderfield.harness import SweepRow
 from orderfield.io import dumps_json, matrix_to_json, write_json
 from orderfield.sampling import (
     MAX_SAMPLES, RANKED_MIN_N, SampleSet, quantile_indices, sample_quantile_locations,
@@ -303,9 +306,9 @@ def test_sweep_slopes_are_row_by_row_fits_at_nine_n_values():
 
 
 def test_sweep_refuses_2_to_the_53_points_and_runs_just_below():
-    cfg = ExperimentConfig(b_list=[1], n_list=[2**53], trials=2, base_seed=4)
+    # the config refuses it when built, before an earlier cell could run
     with pytest.raises(ValueError, match=r"sample count must be below 2\*\*53 for exact Gamma"):
-        run_mse_sweep(cfg)
+        ExperimentConfig(b_list=[1], n_list=[100, 2**53], trials=2, base_seed=4)
     (row,) = run_mse_sweep(ExperimentConfig(b_list=[1], n_list=[2**53 - 1], trials=2,
                                             base_seed=4)).rows
     assert math.isfinite(row.n_times_mse) and row.stderr >= 0.0
@@ -451,9 +454,61 @@ def _estimate_doc():
     return estimate_coeffs(observe(field, deploy(400, np.random.default_rng(6))), 3).to_json_dict()
 
 
-def _clt_doc():
+class _Objects(NamedTuple):
+    """A document holding report objects, and the same document built through
+    their ``to_json_dict()``."""
+
+    doc: object
+    view: object
+
+
+def _clt_objects():
+    # at b = 0 the quantile moments are an empty tuple and the quantile covariances (0, 0)
     cfg = ExperimentConfig(b_list=[0, 2], n_list=[50], trials=10, base_seed=3)
-    return {"checks": [r.to_json_dict() for r in run_clt_check(cfg, eval_points=[0.1, 0.7])]}
+    reports = run_clt_check(cfg, eval_points=[0.1, 0.7])
+    return _Objects({"checks": reports}, {"checks": [r.to_json_dict() for r in reports]})
+
+
+def _sweep_objects():
+    report = run_mse_sweep(small_config(b_list=[0, 1]))
+    return _Objects(report._json_doc(), report.to_json_dict())
+
+
+def _non_finite_objects():
+    report = _clt_objects().doc["checks"][1]
+    cov = report.empirical_coeff_cov.copy()
+    cov[0, 1] = complex(1.0, math.nan)
+    moments = QuantileMoments(1, 2, 0.2, math.inf, -math.inf, math.nan, 0.5)
+    point = PointwiseCheck(0.5, complex(math.nan, 1.0), math.inf, complex(2.0, -math.inf), 0.25)
+    bad = dataclasses.replace(report, coeff_cov_rel_err=math.nan, empirical_coeff_cov=cov,
+                              per_quantile_moments=(moments,), pointwise_checks=(point,))
+    row = SweepRow(b=1, n=10, trials=2, mean_distortion=math.nan, stderr=math.inf,
+                   n_times_mse=-math.inf, bound=1.0)
+    return _Objects({"checks": [bad], "rows": [row]},
+                    {"checks": [bad.to_json_dict()], "rows": [row.to_json_dict()]})
+
+
+def _numpy_scalar_objects():
+    # numpy 2 gives np.float64(0.1) the repr "np.float64(0.1)", so these records are
+    # written value by value
+    row = SweepRow(b=np.int64(1), n=10, trials=True, mean_distortion=np.float64(0.1),
+                   stderr=np.float32(0.5), n_times_mse=0.1, bound=2**70)
+    point = PointwiseCheck(np.float64(0.25), np.complex128(1 - 2j), 0.5, 1 + 0.5j, -0.0)
+    report = dataclasses.replace(_clt_objects().doc["checks"][0], pointwise_checks=(point,))
+    return _Objects([row, report], [row.to_json_dict(), report.to_json_dict()])
+
+
+def _two_indent_objects():
+    row = run_mse_sweep(small_config()).rows[0]
+    return _Objects({"row": row, "rows": [row, [row]]},
+                    {"row": row.to_json_dict(), "rows": [row.to_json_dict(), [row.to_json_dict()]]})
+
+
+def _clt_doc():
+    return _clt_objects().view
+
+
+_BRACE_KEYS = {"{0}": 0.5, "}%r{": -1.5, "{{": 2, "%%": 1 + 2j, "\u00e9\u2014": 3, "": 0.25}
 
 
 JSON_DOCS = {
@@ -489,13 +544,22 @@ JSON_DOCS = {
     "ambiguity report": lambda: run_ambiguity_demo(
         random_field(2, np.random.default_rng(8)), 0.3, 200, 512, 9
     ).to_json_dict(),
+    "flat object keys holding braces, % and non-ASCII": lambda: _Objects(_BRACE_KEYS, {
+        **_BRACE_KEYS, "%%": [1.0, 2.0]}),
+    "flat object keys holding nan and inf": {"banana": 1.0, "info": 2, "z": -0.5},
+    "clt reports": _clt_objects,
+    "sweep document of SweepRow objects": _sweep_objects,
+    "records holding NaN and infinities": _non_finite_objects,
+    "records holding numpy scalars": _numpy_scalar_objects,
+    "one record type at two indents": _two_indent_objects,
 }
 
 
 @pytest.mark.parametrize("name", JSON_DOCS)
 def test_dumps_json_is_the_stdlib_indent_text(name):
     doc = JSON_DOCS[name]() if callable(JSON_DOCS[name]) else JSON_DOCS[name]
-    assert dumps_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    doc, view = doc if isinstance(doc, _Objects) else (doc, doc)
+    assert dumps_json(doc) == json.dumps(view, indent=2, sort_keys=True)
 
 
 def test_ambiguity_demo_rejects_bad_seed(cosine_field):
@@ -619,6 +683,22 @@ def test_cli_rejects_trial_counts_of_2_to_the_32(tmp_path, capsys):
         assert err.splitlines() == [
             "orderfield: error: trials must lie in [1, 2^32), got 4294967296"
         ], args
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_refuses_2_to_the_53_points_at_the_config(tmp_path, capsys, monkeypatch):
+    # in-process: each command exits 2 at the config check, before the n = 100 cell runs
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "_trial_seeds", no_cell)
+    monkeypatch.setattr(harness, "clt_empirical_check", no_cell)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(b_list=[1], n_list=[100, 2**53], trials=10**5, base_seed=1)))
+    for command in ("mse-sweep", "clt-check"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", "orderfield: error: sample count must be below 2**53 "
+                                           "for exact Gamma shapes, got 9007199254740992\n")
     assert not (tmp_path / "o").exists()
 
 

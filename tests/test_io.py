@@ -1,6 +1,10 @@
-"""The vector ``%.17g`` formatter of `orderfield.io` against Python's own."""
+"""The writers of `orderfield.io`: the vector ``%.17g`` formatter against Python's
+own, `dumps_json` against the stdlib's indent encoder, and in-place file writes."""
 
+import dataclasses
 import importlib.util
+import json
+import math
 import os
 from pathlib import Path
 
@@ -8,6 +12,8 @@ import numpy as np
 import pytest
 
 from orderfield import io
+from orderfield.asymptotics import PointwiseCheck, QuantileMoments
+from orderfield.harness import SweepRow
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_g17.py"
 
@@ -87,3 +93,91 @@ def test_a_failed_chunk_leaves_the_bytes_written_before_it(tmp_path, monkeypatch
     with pytest.raises(MemoryError):
         io.write_float_csv(path, "x", np.ones((3 * io._FLOAT_CHUNK, 1)))
     assert path.read_bytes() == b"x\n" + b"1\n" * io._FLOAT_CHUNK
+
+
+@dataclasses.dataclass(frozen=True)
+class _NoFields:
+    pass
+
+
+_RECORDS = (SweepRow, PointwiseCheck, QuantileMoments, _NoFields)
+_CHARS = list("az09 {}%\"\\/\t\n\x00\x7f") + ["nan", "inf", "\u00e9", "\u2014", "\U0001d11e"]
+_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, 1e16, 1e-5]
+
+
+def _random_text(rng) -> str:
+    return "".join(rng.choice(_CHARS, size=int(rng.integers(0, 5))).tolist())
+
+
+def _random_float(rng) -> float:
+    if rng.random() < 0.3:
+        return _FLOATS[int(rng.integers(len(_FLOATS)))]
+    return float(rng.normal() * 10.0 ** int(rng.integers(-300, 300)))
+
+
+def _random_flat(rng):
+    """A value of the kinds a report record holds, mostly exact floats, ints and complex."""
+    kind = int(rng.integers(9))
+    if kind < 3:
+        return _random_float(rng)
+    if kind == 3:
+        return int(rng.integers(-(2**62), 2**62)) * 2 ** int(rng.integers(0, 1100))
+    if kind == 4:
+        return complex(_random_float(rng), _random_float(rng))
+    if kind == 5:
+        return bool(rng.integers(2))
+    if kind == 6:
+        return int(rng.integers(-3, 3))
+    return _random_numpy_scalar(rng) if kind == 7 else _random_float(rng)
+
+
+def _random_numpy_scalar(rng):
+    kind = int(rng.integers(5))
+    if kind < 2:
+        return (np.float64, np.complex128)[kind](_random_float(rng))
+    scalars = (np.float32(rng.normal()), np.int64(rng.integers(-5, 5)), np.bool_(rng.integers(2)))
+    return scalars[kind - 2]
+
+
+def _random_doc(rng, depth: int = 0):
+    """A nested document of dicts, lists, tuples, report records, pair lists, 2-D
+    arrays and leaves; the deeper, the likelier a leaf."""
+    kind = int(rng.integers(14 if depth < 3 else 7))
+    if kind == 0:
+        return None
+    if kind == 1:
+        return bool(rng.integers(2))
+    if kind == 2:
+        return _random_flat(rng)
+    if kind == 3:
+        return _random_text(rng)
+    if kind == 4:
+        return _random_numpy_scalar(rng)
+    if kind in (5, 6):
+        return int(rng.integers(-(2**40), 2**40)) * 2 ** int(rng.integers(0, 80))
+    width = int(rng.integers(0, 5))
+    if kind == 7:
+        return {_random_text(rng): _random_doc(rng, depth + 1) for _ in range(width)}
+    if kind == 8:
+        return {_random_text(rng): _random_flat(rng) for _ in range(width)}
+    if kind == 9:
+        return [_random_doc(rng, depth + 1) for _ in range(width)]
+    if kind == 10:
+        return tuple(_random_doc(rng, depth + 1) for _ in range(width))
+    if kind == 11:
+        return [[_random_float(rng), _random_float(rng) if rng.random() < 0.9 else 1]
+                for _ in range(width)]
+    if kind == 12:
+        cls = _RECORDS[int(rng.integers(len(_RECORDS)))]
+        return cls(*(_random_flat(rng) for _ in dataclasses.fields(cls)))
+    shape = (int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+    values = [complex(_random_float(rng), _random_float(rng)) for _ in range(shape[0] * shape[1])]
+    return np.array(values, np.complex128).reshape(shape)
+
+
+def test_dumps_json_equals_the_stdlib_on_generated_documents():
+    rng = np.random.default_rng(20261021)
+    for i in range(2000):
+        doc = _random_doc(rng)
+        want = json.dumps(io.to_json(doc), indent=2, sort_keys=True)
+        assert io.dumps_json(doc) == want, (i, doc)
