@@ -31,7 +31,7 @@ from .fields import (
 )
 from .io import as_int, read_json, to_json, write_csv_lines, write_float_csv, write_json
 from .parallel import trial_map
-from .sampling import EXACT_SHAPE_LIMIT, RANKED_MIN_N, _renyi_locations, deploy, quantile_indices
+from .sampling import RANKED_MIN_N, _check_exact_shape, _renyi_locations, deploy, quantile_indices
 
 MAX_SEED = 2**64
 MAX_TRIALS = 2**32  # a cap on a config's trial count, far beyond what a run can hold
@@ -77,9 +77,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"every n must be >= {needed} (= 2*max(b)+1), got n={min(n_list)}"
             )
-        if max(n_list) >= EXACT_SHAPE_LIMIT:  # the sampler's limit, known before any cell runs
-            raise ValueError("sample count must be below 2**53 for exact Gamma shapes, "
-                             f"got {max(n_list)}")
+        _check_exact_shape(max(n_list))  # the sampler's limit, known before any cell runs
         trials = as_int(self.trials, "trials")
         if not 1 <= trials < MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, 2^32), got {trials}")

@@ -105,7 +105,7 @@ def dumps_json(doc) -> str:
     pairs, a 2-D array's pairs, and each flat record (a dict or report
     dataclass whose values are all exact floats, ints or complex numbers) are
     written with one format, a record's cached per keys, value types and
-    indent, unless a value is not finite.  Keys must be strings.
+    indent, unless a value is not finite.  A key that is not a str raises TypeError.
     """
     out = []
     _encode(doc, "\n", out.append)

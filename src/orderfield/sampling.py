@@ -133,6 +133,11 @@ def quantile_locations(d: DeploymentDraw, b: int) -> np.ndarray:
 EXACT_SHAPE_LIMIT = 2**53
 
 
+def _check_exact_shape(n: int) -> None:
+    if n >= EXACT_SHAPE_LIMIT:
+        raise ValueError(f"sample count must be below 2**53 for exact Gamma shapes, got {n}")
+
+
 def _renyi_locations(n: int, b: int, draw_gaps) -> np.ndarray:
     """Renyi's representation of the `quantile_locations` of T n-point deployments.
 
@@ -142,8 +147,7 @@ def _renyi_locations(n: int, b: int, draw_gaps) -> np.ndarray:
     trial i's, and row i of the result is trial i's 2b+1 locations.  The shapes are
     exact floats only below 2**53, so a larger n is refused before any draw.
     """
-    if n >= EXACT_SHAPE_LIMIT:
-        raise ValueError(f"sample count must be below 2**53 for exact Gamma shapes, got {n}")
+    _check_exact_shape(n)
     quantile_indices(n, b)  # checks b and n
     sums = np.cumsum(draw_gaps(_gamma_shapes(n, 2 * b + 1)), axis=1)
     # each row is non-decreasing from >= 0 and divided by a sum at least its last entry

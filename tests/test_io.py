@@ -181,3 +181,10 @@ def test_dumps_json_equals_the_stdlib_on_generated_documents():
         doc = _random_doc(rng)
         want = json.dumps(io.to_json(doc), indent=2, sort_keys=True)
         assert io.dumps_json(doc) == want, (i, doc)
+
+
+@pytest.mark.parametrize("doc", [{1: 0.5}, {"a": {2: 1}}, {1: [0.5]}, {1: 0, "a": 1}, {None: 1}])
+def test_dumps_json_refuses_keys_that_are_not_strings(doc):
+    # the stdlib would write an int key as a string; the writer takes str keys only
+    with pytest.raises(TypeError):
+        io.dumps_json(doc)
