@@ -133,6 +133,9 @@ COMMANDS = [
     ("estimate", "--field", FIELD, "--n", "16384", "--seed", "12"),
     # one trial per cell (stderr 0), and n on both sides of RANKED_MIN_N = 2**11 in each bandwidth
     ("mse-sweep", "--config", "cfg_mixed.json", "--out", "sweep_mixed"),
+    # every value of deployments far longer than one evaluation block, in full
+    ("sample", "--field", FIELD, "--n", "100003", "--seed", "14", "--out", "smp_blocks"),
+    ("estimate", "--field", "field_complex.json", "--n", "100003", "--seed", "15"),
 ]
 
 
