@@ -161,13 +161,12 @@ def _grid_to_coeffs(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (matrix.conj().T @ g[..., None])[..., 0] / matrix.shape[0]
 
 
-def _horner_eval(coeffs: np.ndarray, b: int, t):
-    """Evaluate sum_k coeffs[..., b+k] * exp(2j*pi*k*t) for scalar or array t; a
-    ``(T, 2b+1)`` coefficient stack takes ``(T, k)`` points, row by row, or ``(k,)``
-    points shared by every row, which gives ``(T, k)`` values."""
-    t = np.mod(np.asarray(t, dtype=np.float64), 1.0)
+_EVAL_BLOCK = 2**14  # the most values `_horner_eval` computes at once, chosen by measurement
+
+
+def _horner_block(c: np.ndarray, b: int, t):
+    t = np.mod(t, 1.0)
     z = np.exp(2j * np.pi * t)
-    c = coeffs if coeffs.ndim == 1 else coeffs.T[:, :, None]
     acc = np.full(np.broadcast_shapes(np.shape(c[-1]), z.shape), c[-1], dtype=z.dtype)
     for m in range(2 * b - 1, -1, -1):
         acc = acc * z + c[m]
@@ -175,6 +174,33 @@ def _horner_eval(coeffs: np.ndarray, b: int, t):
         # in place, or numpy's elision of large temporaries commutes (and re-rounds) it
         acc *= np.exp(-2j * np.pi * b * t)
     return acc
+
+
+def _horner_eval(coeffs: np.ndarray, b: int, t):
+    """Evaluate sum_k coeffs[..., b+k] * exp(2j*pi*k*t) for scalar or array t; a
+    ``(T, 2b+1)`` coefficient stack takes ``(T, k)`` points, row by row, or ``(k,)``
+    points shared by every row, which gives ``(T, k)`` values.
+
+    Values are computed `_EVAL_BLOCK` at a time (one field's points raveled, a stack's
+    rows a run at a time) into one result, so the temporaries stay small.  No bit
+    depends on the block size: each value is computed alone, and no block is a lone
+    value, whose in-place multiply numpy runs in a scalar loop that rounds differently.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    stack = coeffs.ndim == 2
+    c = coeffs.T[:, :, None] if stack else coeffs
+    shape = np.broadcast_shapes(np.shape(c[-1]), t.shape)
+    rows = shape[0] if stack else t.size
+    step = max(1, _EVAL_BLOCK // max(1, shape[1])) if stack else _EVAL_BLOCK
+    if rows <= step:
+        return _horner_block(c, b, t)[()]
+    points = t if stack else t.reshape(-1)
+    out = np.empty(shape if stack else rows, dtype=np.complex128)
+    for i in range(0, rows, step):
+        block = slice(min(i, rows - 2), i + step)
+        out[block] = _horner_block(c[:, block] if stack else c, b,
+                                   points[block] if points.ndim == out.ndim else points)
+    return out.reshape(shape)
 
 
 def eval_field(c: FourierCoefficients, t):

@@ -110,11 +110,13 @@ class ExperimentConfig:
 
 
 def _check_eval_points(values) -> tuple:
-    """A list of at most `MAX_EVAL_POINTS` finite numbers, not booleans, as floats.
+    """A list or 1-D array of at most `MAX_EVAL_POINTS` finite numbers, not booleans, as floats.
 
     The covariance check holds about 50 bytes per trial and point, and
     clt.json gains one `PointwiseCheck` per point and cell.
     """
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = values.tolist()
     if not isinstance(values, (list, tuple)) or len(values) > MAX_EVAL_POINTS:
         raise ValueError(f"eval_points must be a list of at most {MAX_EVAL_POINTS} numbers")
     points = []
@@ -286,11 +288,10 @@ def run_clt_check(cfg: ExperimentConfig, eval_points=None):
 
     Random mode fixes one field per bandwidth (drawn from the base seed)
     because the limit covariances depend on the field; a coefficient-file
-    field_source pins the field explicitly.  ``eval_points``, when given,
-    takes the place of the config's.  Writes clt.json when output_dir is set.
+    field_source pins the field explicitly.  ``eval_points``, when given, is checked
+    as the config's are and replaces them.  Writes clt.json when output_dir is set.
     """
-    if eval_points is None:
-        eval_points = cfg.eval_points
+    eval_points = cfg.eval_points if eval_points is None else _check_eval_points(eval_points)
     fixed = _resolve_field(cfg)
     reports = []
     for b in cfg.b_list:

@@ -23,7 +23,7 @@ import numpy as np
 from .fields import FourierCoefficients, eval_field, _check_bandwidth, _freeze
 from .io import _FLOAT_CHUNK as _SAVE_CHUNK, write_float_csv, write_json
 
-MAX_SAMPLES = 10**8  # `sample` takes about 80 bytes per value (measured), so 8 GB at the cap
+MAX_SAMPLES = 10**8  # `sample` holds 25 bytes per value (tools/mem_per_value.py), 2.5 GB at most
 # A sweep trial of at least this many points draws its ranked locations alone
 # (`sample_quantile_locations`); below it, sorting a whole `deploy` draw costs less.
 RANKED_MIN_N = 2**11
@@ -69,7 +69,16 @@ class SampleSet:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128).copy()
+        self._keep_finite(np.array(self.values, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, v: np.ndarray) -> "SampleSet":
+        """A sample set that keeps the fresh complex128 array ``v`` itself, not a copy."""
+        s = object.__new__(cls)
+        s._keep_finite(v)
+        return s
+
+    def _keep_finite(self, v: np.ndarray) -> None:
         if v.ndim != 1:
             raise ValueError(f"sample values must be one-dimensional, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -95,7 +104,7 @@ def deploy(n: int, rng: np.random.Generator) -> DeploymentDraw:
 
 def observe(field: FourierCoefficients, d: DeploymentDraw) -> SampleSet:
     """Evaluate the field at the sorted locations and drop the locations."""
-    return SampleSet(values=eval_field(field, d.locations))
+    return SampleSet._adopt(eval_field(field, d.locations))
 
 
 def quantile_indices(n: int, b: int) -> np.ndarray:

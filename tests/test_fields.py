@@ -130,6 +130,66 @@ def test_eval_matches_naive_sum(rng):
         npt.assert_allclose(eval_field(c, t), naive_eval(coeffs, b, t), atol=1e-12)
 
 
+def one_block_eval(coeffs, b, t):
+    """The evaluation as one array step, with no blocking: the reference for the blocks."""
+    t = np.mod(np.asarray(t, dtype=np.float64), 1.0)
+    z = np.exp(2j * np.pi * t)
+    c = coeffs if coeffs.ndim == 1 else coeffs.T[:, :, None]
+    acc = np.full(np.broadcast_shapes(np.shape(c[-1]), z.shape), c[-1], dtype=z.dtype)
+    for m in range(2 * b - 1, -1, -1):
+        acc = acc * z + c[m]
+    if b > 0:
+        acc *= np.exp(-2j * np.pi * b * t)
+    return acc
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+BLOCK = fields._EVAL_BLOCK
+BLOCK_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 8])
+def test_blocked_eval_equals_one_block_bitwise_for_one_field(b):
+    rng = np.random.default_rng(100 + b)
+    coeffs = rng.normal(size=2 * b + 1) + 1j * rng.normal(size=2 * b + 1)
+    for size in BLOCK_SIZES:
+        t = rng.random(size) * 4.0 - 1.5
+        assert_same_bits(fields._horner_eval(coeffs, b, t), one_block_eval(coeffs, b, t))
+        for grid in (t.reshape(size, 1), rng.random((size, 3)), rng.random((3, size)).T):
+            assert_same_bits(fields._horner_eval(coeffs, b, grid), one_block_eval(coeffs, b, grid))
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 8])
+def test_blocked_eval_equals_one_block_bitwise_for_a_stack(b):
+    rng = np.random.default_rng(200 + b)
+    for rows in BLOCK_SIZES:
+        stack = rng.normal(size=(rows, 2 * b + 1)) + 1j * rng.normal(size=(rows, 2 * b + 1))
+        for k in (0, 1, 3):
+            # row by row, from C- and Fortran-ordered points, or shared by every row
+            for t in (rng.random((rows, k)), rng.random((k, rows)).T, rng.random(k)):
+                assert_same_bits(fields._horner_eval(stack, b, t), one_block_eval(stack, b, t))
+    # one row longer than a block, and a few such rows
+    for rows in (1, 3):
+        stack = rng.normal(size=(rows, 2 * b + 1)) + 1j * rng.normal(size=(rows, 2 * b + 1))
+        for t in (rng.random((rows, BLOCK + 1)), rng.random(2 * BLOCK + 1)):
+            assert_same_bits(fields._horner_eval(stack, b, t), one_block_eval(stack, b, t))
+
+
+@pytest.mark.parametrize("b", [0, 1, 3, 8])
+def test_eval_at_a_scalar_is_a_complex_scalar(b):
+    coeffs = np.random.default_rng(300 + b).normal(size=2 * b + 1) + 0.25j
+    c = FourierCoefficients(coeffs)
+    for t in (0.3, np.float64(0.3), -1.7, np.float64(2.25)):
+        for value in (eval_field(c, t), eval_derivative(c, t)):
+            assert type(value) is np.complex128
+        want = one_block_eval(coeffs, b, t)  # numpy's scalar arithmetic, bit for bit
+        assert_same_bits(np.array([eval_field(c, t)]), np.array([want]))
+
+
 def test_eval_is_periodic(cosine_field):
     t = np.array([0.1, 0.37, 0.9])
     npt.assert_allclose(eval_field(cosine_field, t + 1.0), eval_field(cosine_field, t), atol=1e-12)

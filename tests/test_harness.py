@@ -123,6 +123,26 @@ def test_eval_points_keyword_takes_the_place_of_the_config_points():
     assert run_clt_check(small_config(n_list=[40]))[0].pointwise_checks == ()
 
 
+def test_eval_points_keyword_is_checked_as_the_config_points_are():
+    cfg = small_config(n_list=[40])
+    with pytest.raises(ValueError, match="eval_points entries must be finite numbers, got True"):
+        run_clt_check(cfg, eval_points=[True, 0.5])
+    for bad in (np.zeros(MAX_EVAL_POINTS + 1), np.zeros((2, 2)), 0.5):
+        with pytest.raises(ValueError, match="eval_points must be a list of at most 1024"):
+            run_clt_check(cfg, eval_points=bad)
+    with pytest.raises(ValueError, match="eval_points entries must be finite numbers"):
+        run_clt_check(cfg, eval_points=np.array([0.5, np.nan]))
+    # a 1-D float array, as the benchmark passes, gives the report of the same tuple
+    points = np.sort(np.random.default_rng(5).random(8))
+    from_array = run_clt_check(cfg, eval_points=points)[0]
+    from_tuple = run_clt_check(cfg, eval_points=tuple(points.tolist()))[0]
+    assert [c.t for c in from_array.pointwise_checks] == points.tolist()
+    assert dumps_json(from_array) == dumps_json(from_tuple)
+    # no points, from the keyword or the config, give no pointwise checks
+    assert run_clt_check(cfg, eval_points=np.zeros(0))[0].pointwise_checks == ()
+    assert run_clt_check(small_config(n_list=[40], eval_points=[]))[0].pointwise_checks == ()
+
+
 def test_sweep_refuses_a_config_with_eval_points(tmp_path):
     for points in [[0.5], []]:
         with pytest.raises(ValueError, match="eval_points applies to clt-check only"):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,7 @@ from orderfield import (
     sample_quantile_locations,
     save_samples,
 )
+from orderfield import sampling
 from orderfield.fields import eval_field
 from orderfield.sampling import _SAVE_CHUNK
 
@@ -83,6 +85,60 @@ def test_observe_evaluates_at_sorted_locations(rng, cosine_field):
     assert s.n == 64
     assert [f.name for f in dataclasses.fields(s)] == ["values"]  # no provenance rides along
     npt.assert_allclose(s.values, eval_field(cosine_field, d.locations), atol=1e-12)
+
+
+def test_observe_keeps_a_read_only_finite_one_dimensional_array(rng, cosine_field, monkeypatch):
+    s = observe(cosine_field, deploy(1000, rng))
+    assert s.values.ndim == 1 and s.values.dtype == np.complex128
+    assert not s.values.flags.writeable and np.isfinite(s.values).all()
+    # the evaluation's array is kept, not copied, yet still checked
+    for bad, match in ((np.array([0.5, np.nan]), "finite"), (np.zeros((2, 2)), "one-dimensional")):
+        monkeypatch.setattr(sampling, "eval_field", lambda field, t, bad=bad: bad.astype(complex))
+        with pytest.raises(ValueError, match=match):
+            observe(cosine_field, deploy(4, rng))
+
+
+def test_sample_set_copies_the_callers_array():
+    a = np.array([0.25 + 0.5j, -1.0])
+    s = SampleSet(values=a)
+    a[0] = 7.0
+    assert s.values.tolist() == [0.25 + 0.5j, -1.0 + 0j]
+    assert a.flags.writeable and not s.values.flags.writeable
+
+
+OBSERVE_HWM_PROBE = """
+import numpy as np
+from orderfield import deploy, observe, random_field
+
+def hwm_kib():
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM")))
+
+field, peaks = random_field(3, np.random.default_rng(1)), []
+for n in (2**20, 2**22):
+    s = observe(field, deploy(n, np.random.default_rng(2)))
+    del s
+    peaks.append(hwm_kib())
+print((peaks[1] - peaks[0]) * 1024 / (2**22 - 2**20))
+"""
+
+
+def _has_vm_hwm():
+    try:
+        with open("/proc/self/status") as fh:
+            return any(line.startswith("VmHWM") for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vm_hwm(), reason="no VmHWM in /proc/self/status")
+def test_observe_peak_memory_is_at_most_32_bytes_per_value(cli_env):
+    # the growth of the peak between two sizes, in one fresh process: the locations
+    # (8 bytes), the values (16) and the finite check (1); whole-array temporaries
+    # would add about 16 bytes each
+    out = subprocess.run([sys.executable, "-c", OBSERVE_HWM_PROBE], env=cli_env,
+                         capture_output=True, text=True, check=True).stdout
+    assert float(out) <= 32.0
 
 
 def test_sample_set_validates_length():
