@@ -118,7 +118,8 @@ def _check_eval_points(values) -> tuple:
     if isinstance(values, np.ndarray) and values.ndim == 1:
         values = values.tolist()
     if not isinstance(values, (list, tuple)) or len(values) > MAX_EVAL_POINTS:
-        raise ValueError(f"eval_points must be a list of at most {MAX_EVAL_POINTS} numbers")
+        raise ValueError(
+            f"eval_points must be a list or 1-D array of at most {MAX_EVAL_POINTS} numbers")
     points = []
     for v in values:
         try:

@@ -47,6 +47,10 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# the refusal of eval_points that are too many, or not a list or 1-D array
+NOT_A_POINT_LIST = "eval_points must be a list or 1-D array of at most 1024 numbers"
+
+
 # ---- config validation ----
 
 def test_config_rejects_bad_shapes():
@@ -109,7 +113,7 @@ def test_config_eval_points_are_finite_numbers_up_to_the_cap():
         with pytest.raises(ValueError, match="eval_points entries must be finite numbers"):
             small_config(eval_points=bad)
     for bad in [0.5, "0.5", {"t": 0.5}, [0.0] * (MAX_EVAL_POINTS + 1)]:
-        with pytest.raises(ValueError, match="eval_points must be a list of at most 1024"):
+        with pytest.raises(ValueError, match=NOT_A_POINT_LIST):
             small_config(eval_points=bad)
 
 
@@ -128,7 +132,7 @@ def test_eval_points_keyword_is_checked_as_the_config_points_are():
     with pytest.raises(ValueError, match="eval_points entries must be finite numbers, got True"):
         run_clt_check(cfg, eval_points=[True, 0.5])
     for bad in (np.zeros(MAX_EVAL_POINTS + 1), np.zeros((2, 2)), 0.5):
-        with pytest.raises(ValueError, match="eval_points must be a list of at most 1024"):
+        with pytest.raises(ValueError, match=NOT_A_POINT_LIST):
             run_clt_check(cfg, eval_points=bad)
     with pytest.raises(ValueError, match="eval_points entries must be finite numbers"):
         run_clt_check(cfg, eval_points=np.array([0.5, np.nan]))
@@ -735,7 +739,7 @@ def test_cli_eval_points_reach_clt_json_and_bad_ones_exit_2(tmp_path, capsys):
                                        "only; remove it from the sweep config\n")
     for points, message in [
         ([0.5, True], "eval_points entries must be finite numbers, got True"),
-        ("0.5", "eval_points must be a list of at most 1024 numbers"),
+        ("0.5", NOT_A_POINT_LIST),
     ]:
         cfg.write_text(json.dumps({**base, "eval_points": points}))
         for command in ("clt-check", "mse-sweep"):

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Peak memory per value of the commands whose size is n or a grid.
 
-    python3 tools/mem_per_value.py [--small N] [--large N] [--src DIR]
+    python3 tools/mem_per_value.py [--src DIR]
 
 Runs ``sample --n N``, ``estimate --n N`` and ``ambiguity-demo --grid N`` (at a
-fixed ``--n 200``) once at each of two sizes, each run in a fresh
+fixed ``--n 200``) once at each of two sizes, 10^6 and 4*10^6, each run in a fresh
 ``python -m orderfield`` process that reports its own peak resident set size
 (``VmHWM`` in ``/proc/self/status``) when it ends.  Prints one line per command:
 both peaks in MB and their growth per added value in bytes, which is what the
@@ -26,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TAG = "mem-per-value-vmhwm-kib"
+SMALL, LARGE = 10**6, 4 * 10**6  # the two sizes whose peaks are compared
 
 # `python -m orderfield ARGS`, then this process's own peak RSS in KiB on stderr
 WRAPPER = f"""
@@ -59,22 +60,18 @@ def peak_kib(args: list, cwd: str, env: dict) -> int:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--small", type=int, default=10**6)
-    p.add_argument("--large", type=int, default=4 * 10**6)
     p.add_argument("--src", default=str(ROOT / "src"))
     args = p.parse_args(argv)
-    if not 0 < args.small < args.large:
-        p.error("need 0 < --small < --large")
     env = dict(os.environ)
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(Path(args.src).resolve()) + (os.pathsep + rest if rest else "")
     with tempfile.TemporaryDirectory() as work:
         peak_kib(["gen-field", "--b", "3", "--seed", "11", "--out", "fld"], work, env)
         for name, command in COMMANDS.items():
-            small, large = (peak_kib(command(n), work, env) for n in (args.small, args.large))
-            per_value = (large - small) * 1024 / (args.large - args.small)
-            print(f"{name:22s} peak {small * 1024 / 1e6:8.1f} MB at {args.small}, "
-                  f"{large * 1024 / 1e6:8.1f} MB at {args.large}: "
+            small, large = (peak_kib(command(n), work, env) for n in (SMALL, LARGE))
+            per_value = (large - small) * 1024 / (LARGE - SMALL)
+            print(f"{name:22s} peak {small * 1024 / 1e6:8.1f} MB at {SMALL}, "
+                  f"{large * 1024 / 1e6:8.1f} MB at {LARGE}: "
                   f"{per_value:6.1f} bytes per value", flush=True)
     return 0
 
