@@ -57,6 +57,8 @@ CONFIGS = {
                             base_seed=2**64 - 101),
     "cfg_mixed.json": dict(b_list=[0, 2, 8], n_list=[17, 2047, 2048, 100000], trials=1,
                            base_seed=21),
+    "cfg_fixed_ranked.json": dict(b_list=[3], n_list=[2048, 100000], trials=7,
+                                  base_seed=2**64 - 37, field_source=FIELD),
     "cfg_points.json": dict(b_list=[0, 1, 3], n_list=[40, 150], trials=11, base_seed=13,
                             eval_points=[-1.75, -0.3, 0.0, 0.125, 0.5, 0.999, 1.0, 2.6]),
 }
@@ -136,6 +138,8 @@ COMMANDS = [
     # every value of deployments far longer than one evaluation block, in full
     ("sample", "--field", FIELD, "--n", "100003", "--seed", "14", "--out", "smp_blocks"),
     ("estimate", "--field", "field_complex.json", "--n", "100003", "--seed", "15"),
+    # one saved field shared by every trial of ranked cells (n >= RANKED_MIN_N = 2**11)
+    ("mse-sweep", "--config", "cfg_fixed_ranked.json", "--out", "sweep_fixed_ranked"),
 ]
 
 
