@@ -21,7 +21,9 @@ from .sampling import (
     sample_quantile_locations,
     save_samples,
 )
-from .estimator import distortion, distortion_bound, estimate_at, estimate_coeffs
+from .estimator import (
+    distortion, distortion_bound, distortion_limit, estimate_at, estimate_coeffs,
+)
 from .asymptotics import (
     CltReport,
     CovarianceBundle,

@@ -18,6 +18,7 @@ from .fields import (
     _check_coeffs,
     _grid_to_coeffs,
     _horner_eval,
+    eval_derivative,
 )
 from .sampling import SampleSet, extract_quantile_samples, quantile_indices
 
@@ -61,3 +62,17 @@ def distortion_bound(b: int) -> float:
     """Asymptotic bound on n times the expected distortion: pi^2 b^2 (2b+1)."""
     _check_bandwidth(b)
     return np.pi**2 * b**2 * (2 * b + 1)
+
+
+def distortion_limit(c: FourierCoefficients) -> float:
+    """The limit of n times the expected distortion on the field ``c``:
+    ``(1/m) sum_{l=1}^{2b} p_l (1 - p_l) |f'(p_l)|^2``, with m = 2b+1 and p_l = l/m.
+
+    The ranked value at level l is ``f(p_l) + f'(p_l) (U - p_l)`` to first order, n times
+    the variance of its order statistic U tends to ``p_l (1 - p_l)``, and by Parseval the
+    distortion is the mean square of the m grid errors; level 0 reads the first order
+    statistic, whose error is O(1/n).
+    """
+    m = 2 * c.b + 1
+    p = np.arange(1, m) / m
+    return float(np.sum(p * (1.0 - p) * np.abs(eval_derivative(c, p)) ** 2) / m)

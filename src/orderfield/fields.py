@@ -9,6 +9,7 @@ coefficient/sample transforms are exact linear algebra on that vector.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,13 +184,17 @@ def _horner_eval(coeffs: np.ndarray, b: int, t):
 
     Values are computed `_EVAL_BLOCK` at a time (one field's points raveled, a stack's
     rows a run at a time) into one result, so the temporaries stay small.  No bit
-    depends on the block size: each value is computed alone, and no block is a lone
-    value, whose in-place multiply numpy runs in a scalar loop that rounds differently.
+    depends on the block size or on the other points: each value is computed alone,
+    and no block is a lone value, which numpy's scalar loops would round differently.
+    A lone value (a scalar t, one point, or a 1x1 stack) is the first of a duplicated pair.
     """
     t = np.asarray(t, dtype=np.float64)
     stack = coeffs.ndim == 2
     c = coeffs.T[:, :, None] if stack else coeffs
     shape = np.broadcast_shapes(np.shape(c[-1]), t.shape)
+    if math.prod(shape) == 1:
+        pair = _horner_block(coeffs.reshape(-1), b, np.repeat(t.reshape(-1), 2))
+        return pair[:1].reshape(shape)[()]
     rows = shape[0] if stack else t.size
     step = max(1, _EVAL_BLOCK // max(1, shape[1])) if stack else _EVAL_BLOCK
     if rows <= step:

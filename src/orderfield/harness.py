@@ -1,16 +1,18 @@
 """Experiment orchestration: seeded Monte Carlo sweeps and report files.
 
-Each sweep cell seeds one ``SeedSequence((base_seed, b, n))``, and row i of
-its output states (`_trial_seeds`) seeds trial i's PCG64, so any cell of any
-sweep can be reproduced in isolation, the first T trials of a cell do not
-depend on its trial count, and the outputs are byte-identical at every worker
-count: trial i of cell j writes only row (j, i) of its bandwidth's arrays: its
-field's 2b+2 raw uniforms (random mode only), then the 2b+1 ranked locations
-of a sorted `deploy` draw below `RANKED_MIN_N` points, or from there on the
-2b+2 Gamma gaps the cell turns into ranked locations (`_renyi_locations`).
-Each bandwidth then builds and checks all its fields in one array step
-(`_fields_from_draws`) and estimates them in another (`estimate_at`); the
-sweep reduces every cell's mean and standard error in one more.
+Each sweep cell seeds one ``SeedSequence((base_seed, b, n))`` and reads rows of
+4 words from its output state (`_trial_seeds`), so any cell of any sweep can be
+reproduced in isolation, the first T trials of a cell do not depend on its trial
+count, and the outputs are byte-identical at every worker count.  Below
+`RANKED_MIN_N` points, row i seeds trial i's PCG64, and trial i of cell j writes
+only row (j, i) of its bandwidth's arrays: its field's 2b+2 raw uniforms (random
+mode only), then the 2b+1 ranked locations of a sorted `deploy` draw.  From there
+on, rows 0 and 1 seed the cell's field and gap streams: one ``random`` call fills
+all its trials' raw uniforms, and one `sample_quantile_locations` call draws all
+their ranked locations, both in trial order and with no thread pool.  Each
+bandwidth then builds and checks all its fields in one array step
+(`_fields_from_draws`) and estimates them in another (`estimate_at`); the sweep
+reduces every cell's mean and standard error in one more.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .fields import (
 )
 from .io import as_int, read_json, to_json, write_csv_lines, write_float_csv, write_json
 from .parallel import trial_map
-from .sampling import RANKED_MIN_N, _check_exact_shape, _renyi_locations, deploy, quantile_indices
+from .sampling import (
+    RANKED_MIN_N, _check_exact_shape, deploy, quantile_indices, sample_quantile_locations,
+)
 
 MAX_SEED = 2**64
 MAX_TRIALS = 2**32  # a cap on a config's trial count, far beyond what a run can hold
@@ -185,10 +189,27 @@ def _resolve_field(cfg: ExperimentConfig):
     return field
 
 
+# numpy's `SeedSequence.generate_state` hash: word i mixes pool[i % 4] with h_i and h_(i+1)
+_HASH_INIT, _HASH_MULT = 0x8B51F9DD, 0x58F38DED
+
+
 def _trial_seeds(base_seed: int, b: int, n: int, trials: int) -> np.ndarray:
-    """Trial i's PCG64 state as row i, which does not depend on ``trials``."""
-    ss = np.random.SeedSequence((base_seed, b, n))
-    return ss.generate_state(4 * trials, np.uint64).reshape(trials, 4)
+    """The cell's ``SeedSequence((base_seed, b, n)).generate_state(4 * trials, np.uint64)``
+    as ``trials`` rows of 4 words; row i does not depend on ``trials``.
+
+    numpy computes word i of the uint32 state one scalar at a time as ``x ^ (x >> 16)``
+    with ``x = (pool[i % 4] ^ h_i) * h_(i+1) mod 2^32`` and ``h_i = _HASH_INIT *
+    _HASH_MULT^i mod 2^32``, then reads the words as little-endian uint64 pairs; these
+    are the same words, computed as arrays.
+    """
+    words = 8 * trials
+    h = np.full(words + 1, _HASH_MULT, dtype=np.uint32)
+    h[0] = _HASH_INIT
+    np.multiply.accumulate(h, out=h)
+    pool = np.random.SeedSequence((base_seed, b, n)).pool
+    x = (h[:-1].reshape(-1, 4) ^ pool) * h[1:].reshape(-1, 4)
+    x ^= x >> 16
+    return x.astype("<u4", copy=False).view("<u8").astype(np.uint64).reshape(trials, 4)
 
 
 class _TrialSeed(ISeedSequence):
@@ -203,35 +224,34 @@ class _TrialSeed(ISeedSequence):
         return self.state
 
 
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """A PCG64 generator seeded with one row of `_trial_seeds`."""
+    return np.random.Generator(np.random.PCG64(_TrialSeed(state)))
+
+
 def _bandwidth_distortions(cfg: ExperimentConfig, b: int, fixed) -> np.ndarray:
     """The ``(len(n_list), trials)`` distortions of bandwidth b, row j its n_list[j] cell's."""
     shape, m = (len(cfg.n_list), cfg.trials), 2 * b + 1
     locs = np.empty((*shape, m))
     draws = np.empty((*shape, m + 1)) if fixed is None else None
     for j, n in enumerate(cfg.n_list):
+        if n >= RANKED_MIN_N:
+            # seed rows 0 and 1 are the cell's field and gap streams, each filled in trial order
+            seeds = _trial_seeds(cfg.base_seed, b, n, 2)
+            if draws is not None:
+                _generator(seeds[0]).random(out=draws[j])
+            locs[j] = sample_quantile_locations(n, b, cfg.trials, _generator(seeds[1]))
+            continue
         states = _trial_seeds(cfg.base_seed, b, n, cfg.trials)
         ranks = quantile_indices(n, b) - 1
 
-        # given Gamma shapes by `_renyi_locations`, the trials draw gaps in place of a deploy
-        def run_trials(shapes=None):
-            gaps = None if shapes is None else np.empty((cfg.trials, shapes.size))
+        def one_trial(i):
+            rng = _generator(states[i])
+            if draws is not None:
+                rng.random(out=draws[j, i])
+            locs[j, i] = deploy(n, rng).locations[ranks]
 
-            def one_trial(i):
-                rng = np.random.Generator(np.random.PCG64(_TrialSeed(states[i])))
-                if draws is not None:
-                    rng.random(out=draws[j, i])
-                if gaps is None:
-                    locs[j, i] = deploy(n, rng).locations[ranks]
-                else:
-                    rng.standard_gamma(shapes, out=gaps[i])
-
-            trial_map(one_trial, cfg.trials)
-            return gaps
-
-        if n >= RANKED_MIN_N:
-            locs[j] = _renyi_locations(n, b, run_trials)
-        else:
-            run_trials()
+        trial_map(one_trial, cfg.trials)
     coeffs = fixed.coeffs if fixed is not None else _fields_from_draws(b, draws.reshape(-1, m + 1))
     est = estimate_at(coeffs, locs.reshape(-1, m))
     return np.sum(np.abs(est - coeffs) ** 2, axis=1).reshape(shape)

@@ -7,10 +7,12 @@ their locations, with the locations themselves dropped.  Simulation-side code
 that needs the hidden locations (covariance checks, order-statistic
 diagnostics) reads them from the `DeploymentDraw`; nothing on the estimation
 path accepts a draw.  Monte Carlo trials evaluate the field only at the 2b+1
-`quantile_locations`.  `_renyi_locations` draws those ranked locations alone,
-exactly in law, without the other n - 2b - 1 points: for a cell of sweep trials
-of at least `RANKED_MIN_N` points and for `sample_quantile_locations`; smaller
-trials sort a whole `deploy` draw, the reference path, which is cheaper there.
+`quantile_locations`.  `sample_quantile_locations` draws those ranked locations
+alone, exactly in law, without the other n - 2b - 1 points, from 2b+2 Gamma gaps
+per deployment: for the covariance check, and for a sweep cell of at least
+`RANKED_MIN_N` points, which draws all its trials' locations in one call; the
+trials of a smaller sweep cell each still sort a whole `deploy` draw, the
+reference path.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .fields import FourierCoefficients, eval_field, _check_bandwidth, _freeze
 from .io import _FLOAT_CHUNK as _SAVE_CHUNK, write_float_csv, write_json
 
 MAX_SAMPLES = 10**8  # `sample` holds 25 bytes per value (tools/mem_per_value.py), 2.5 GB at most
-# A sweep trial of at least this many points draws its ranked locations alone
-# (`sample_quantile_locations`); below it, sorting a whole `deploy` draw costs less.
+# A sweep cell of at least this many points draws its trials' ranked locations alone,
+# in one `sample_quantile_locations` call; below it, each trial sorts a `deploy` draw.
 RANKED_MIN_N = 2**11
 
 
@@ -147,31 +149,22 @@ def _check_exact_shape(n: int) -> None:
         raise ValueError(f"sample count must be below 2**53 for exact Gamma shapes, got {n}")
 
 
-def _renyi_locations(n: int, b: int, draw_gaps) -> np.ndarray:
-    """Renyi's representation of the `quantile_locations` of T n-point deployments.
-
-    With independent Gamma gaps of shapes ``r_0, r_1 - r_0, ..., n + 1 - r_2b`` and
-    partial sums S, the rank-r_l order statistics of n uniforms are jointly
-    ``S_l / S_(2b+1)``.  ``draw_gaps(shapes)`` returns the ``(T, 2b+2)`` gaps, row i
-    trial i's, and row i of the result is trial i's 2b+1 locations.  The shapes are
-    exact floats only below 2**53, so a larger n is refused before any draw.
-    """
-    _check_exact_shape(n)
-    quantile_indices(n, b)  # checks b and n
-    sums = np.cumsum(draw_gaps(_gamma_shapes(n, 2 * b + 1)), axis=1)
-    # each row is non-decreasing from >= 0 and divided by a sum at least its last entry
-    return sums[:, :-1] / sums[:, -1:]
-
-
 def sample_quantile_locations(
     n: int, b: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """The `quantile_locations` of ``trials`` independent n-point deployments, one per row:
-    2b+2 Gamma draws per row (`_renyi_locations`), filled row by row, so row i does not
-    depend on ``trials``."""
-    return _renyi_locations(
-        n, b, lambda shapes: rng.standard_gamma(shapes, size=(trials, shapes.size))
-    )
+    """The `quantile_locations` of ``trials`` independent n-point deployments, one per row,
+    by Renyi's representation: with independent Gamma gaps of shapes ``r_0, r_1 - r_0, ...,
+    n + 1 - r_2b`` and partial sums S, the rank-r_l order statistics of n uniforms are
+    jointly ``S_l / S_(2b+1)``.  The ``(trials, 2b+2)`` gaps are drawn row by row, so row i
+    does not depend on ``trials``.  The shapes are exact floats only below 2**53, so a
+    larger n is refused before any draw.
+    """
+    _check_exact_shape(n)
+    quantile_indices(n, b)  # checks b and n
+    shapes = _gamma_shapes(n, 2 * b + 1)
+    sums = np.cumsum(rng.standard_gamma(shapes, size=(trials, shapes.size)), axis=1)
+    # each row is non-decreasing from >= 0 and divided by a sum at least its last entry
+    return sums[:, :-1] / sums[:, -1:]
 
 
 def extract_quantile_samples(s: SampleSet, ranks: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ from orderfield import (
     clt_empirical_check,
     coeffs_from_samples,
     deploy,
+    FourierCoefficients,
     distortion_bound,
+    distortion_limit,
     estimate_coeffs,
     eval_field,
     level_measure_curve,
@@ -33,8 +35,13 @@ from orderfield import (
     shift_field,
 )
 from orderfield.ambiguity import default_threshold_grid
+from orderfield.io import write_json
 
 ACCEPT_SEED = 20260822
+# acceptance 10's bound in standard errors, set on base seeds 1000..1399, not ACCEPT_SEED:
+# over those 400 seeds the 4800 cells' z had mean -0.01 and sd 1.00, and the largest |z|
+# of a seed's 12 cells had median 1.92, 99th percentile 3.17 and maximum 3.71
+LIMIT_SE = 4.0
 
 
 def _verdict(capsys, label, ok, detail):
@@ -289,4 +296,28 @@ def test_09_cli_determinism_across_workers(tmp_path, capsys, cli_env):
         ok,
         f"{len(files1)} files byte-compared across 6 subcommands at 1 vs 8 workers"
         + ("" if ok else f"; differing: {diff_files}, stdout match: {same_stdout}"),
+    )
+
+
+def test_10_distortion_limit_at_large_n(tmp_path, capsys):
+    # n * mean distortion on cos(2 pi b t), b = 1..4, at n in {10^6, 10^9, 10^12} with
+    # 2*10^4 trials per cell, within LIMIT_SE standard errors of distortion_limit
+    worst, cells = 0.0, 0
+    for b in (1, 2, 3, 4):
+        c = np.zeros(2 * b + 1)
+        c[0] = c[-1] = 0.5
+        field = FourierCoefficients(c)
+        path = tmp_path / f"cos{b}.json"
+        write_json(path, field.to_json_dict())
+        cfg = ExperimentConfig(b_list=[b], n_list=[10**6, 10**9, 10**12], trials=20_000,
+                               base_seed=ACCEPT_SEED, field_source=str(path))
+        limit = distortion_limit(field)
+        for row in run_mse_sweep(cfg).rows:
+            worst = max(worst, abs(row.n_times_mse - limit) / (row.n * row.stderr))
+            cells += 1
+    _verdict(
+        capsys,
+        "acceptance 10: distortion limit at large n",
+        cells == 12 and worst <= LIMIT_SE,
+        f"worst |n*MSE - limit|/SE = {worst:.2f} (need <= {LIMIT_SE:g}) over {cells} cells",
     )

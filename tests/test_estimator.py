@@ -10,6 +10,7 @@ from orderfield import (
     deploy,
     distortion,
     distortion_bound,
+    distortion_limit,
     estimate_at,
     estimate_coeffs,
     eval_field,
@@ -133,6 +134,28 @@ def test_distortion_bound_formula():
     assert abs(distortion_bound(2) - 197.39) < 0.005
     with pytest.raises(ValueError):
         distortion_bound(-1)
+
+
+def test_distortion_limit_is_the_direct_sum(rng, complex_random_field):
+    # (1/m) sum_{l=1}^{2b} p_l (1 - p_l) |f'(p_l)|^2, f' summed term by term
+    for b in (0, 1, 3, 8):
+        for field in (random_field(b, rng), complex_random_field(b, rng)):
+            m, ks = 2 * b + 1, np.arange(-b, b + 1)
+            want = 0.0
+            for l in range(1, m):
+                p = l / m
+                slope = sum(2j * np.pi * k * ck * np.exp(2j * np.pi * k * p)
+                            for k, ck in zip(ks, field.coeffs))
+                want += p * (1 - p) * abs(slope) ** 2 / m
+            npt.assert_allclose(distortion_limit(field), want, rtol=1e-12, atol=0.0)
+    assert distortion_limit(FourierCoefficients(np.array([0.7 - 0.1j]))) == 0.0
+
+
+def test_distortion_limit_of_the_cosine():
+    # cos 2 pi t: 2 * (2/9) * 3 pi^2 / 3 = 4 pi^2 / 9 = 4.3865
+    c = FourierCoefficients(np.array([0.5, 0.0, 0.5]))
+    npt.assert_allclose(distortion_limit(c), 4 * np.pi**2 / 9, rtol=1e-14)
+    assert round(distortion_limit(c), 4) == 4.3865
 
 
 def test_estimate_validation():

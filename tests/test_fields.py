@@ -143,6 +143,16 @@ def one_block_eval(coeffs, b, t):
     return acc
 
 
+def reference_eval(coeffs, b, t):
+    """`one_block_eval`, but a lone value (a scalar t, one point, or a 1x1 stack) is
+    the first of a duplicated pair, as `_horner_eval` computes it."""
+    t = np.asarray(t, dtype=np.float64)
+    shape = np.broadcast_shapes(coeffs.shape[:-1] + (1,) * (coeffs.ndim - 1), t.shape)
+    if np.prod(shape) != 1:
+        return one_block_eval(coeffs, b, t)
+    return one_block_eval(coeffs.reshape(-1), b, np.repeat(t.reshape(-1), 2))[:1].reshape(shape)
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -158,9 +168,9 @@ def test_blocked_eval_equals_one_block_bitwise_for_one_field(b):
     coeffs = rng.normal(size=2 * b + 1) + 1j * rng.normal(size=2 * b + 1)
     for size in BLOCK_SIZES:
         t = rng.random(size) * 4.0 - 1.5
-        assert_same_bits(fields._horner_eval(coeffs, b, t), one_block_eval(coeffs, b, t))
+        assert_same_bits(fields._horner_eval(coeffs, b, t), reference_eval(coeffs, b, t))
         for grid in (t.reshape(size, 1), rng.random((size, 3)), rng.random((3, size)).T):
-            assert_same_bits(fields._horner_eval(coeffs, b, grid), one_block_eval(coeffs, b, grid))
+            assert_same_bits(fields._horner_eval(coeffs, b, grid), reference_eval(coeffs, b, grid))
 
 
 @pytest.mark.parametrize("b", [0, 1, 2, 8])
@@ -171,7 +181,7 @@ def test_blocked_eval_equals_one_block_bitwise_for_a_stack(b):
         for k in (0, 1, 3):
             # row by row, from C- and Fortran-ordered points, or shared by every row
             for t in (rng.random((rows, k)), rng.random((k, rows)).T, rng.random(k)):
-                assert_same_bits(fields._horner_eval(stack, b, t), one_block_eval(stack, b, t))
+                assert_same_bits(fields._horner_eval(stack, b, t), reference_eval(stack, b, t))
     # one row longer than a block, and a few such rows
     for rows in (1, 3):
         stack = rng.normal(size=(rows, 2 * b + 1)) + 1j * rng.normal(size=(rows, 2 * b + 1))
@@ -186,8 +196,26 @@ def test_eval_at_a_scalar_is_a_complex_scalar(b):
     for t in (0.3, np.float64(0.3), -1.7, np.float64(2.25)):
         for value in (eval_field(c, t), eval_derivative(c, t)):
             assert type(value) is np.complex128
-        want = one_block_eval(coeffs, b, t)  # numpy's scalar arithmetic, bit for bit
-        assert_same_bits(np.array([eval_field(c, t)]), np.array([want]))
+        want = reference_eval(coeffs, b, t)  # the first of a duplicated pair, bit for bit
+        assert_same_bits(np.array([eval_field(c, t)]), want.reshape(1))
+
+
+@pytest.mark.parametrize("b", [1, 2, 8])
+def test_a_lone_value_equals_the_same_point_among_others(b):
+    # a scalar t, one point and a 1x1 stack give the bits the point gets among 37 others
+    rng = np.random.default_rng(400 + b)
+    for _ in range(200):
+        coeffs = rng.normal(size=2 * b + 1) + 1j * rng.normal(size=2 * b + 1)
+        c = FourierCoefficients(coeffs)
+        t = rng.random(38) * 4.0 - 1.5
+        among = eval_field(c, t)
+        derivatives = eval_derivative(c, t)
+        for i in (0, 17, 37):
+            lone = [eval_field(c, t[i : i + 1])[0], eval_field(c, float(t[i])), eval_field(c, t[i]),
+                    fields._horner_eval(coeffs[None], b, t[None, i : i + 1])[0, 0],
+                    fields._horner_eval(coeffs[None], b, t[i : i + 1])[0, 0]]
+            assert_same_bits(np.array(lone), np.full(5, among[i]))
+            assert_same_bits(np.array([eval_derivative(c, float(t[i]))]), derivatives[i : i + 1])
 
 
 def test_eval_is_periodic(cosine_field):

@@ -224,17 +224,18 @@ def test_rank_only_trials_equal_the_full_path(b, fixed_field, complex_random_fie
 
 
 def _ranked_path_distortions(cfg, b, n):
-    """Reference trials from `RANKED_MIN_N` points on: each trial's field, then its
-    2b+1 ranked locations from `sample_quantile_locations` on the same PCG64, the
-    field's values there set at their ranks of an n-value `SampleSet`, then
-    `estimate_coeffs`."""
+    """Reference trials from `RANKED_MIN_N` points on, one at a time: each trial's field
+    on the generator of the cell's seed row 0, then its 2b+1 ranked locations from
+    `sample_quantile_locations` on the generator of row 1, the field's values there set
+    at their ranks of an n-value `SampleSet`, then `estimate_coeffs`."""
     out = []
     ranks0 = quantile_indices(n, b) - 1
-    for state in _trial_seeds(cfg.base_seed, b, n, cfg.trials):
-        rng = np.random.Generator(np.random.PCG64(_TrialSeed(state)))
-        field = random_field(b, rng)
+    field_rng, gap_rng = (np.random.Generator(np.random.PCG64(_TrialSeed(state)))
+                          for state in _trial_seeds(cfg.base_seed, b, n, 2))
+    for _ in range(cfg.trials):
+        field = random_field(b, field_rng)
         values = np.zeros(n, dtype=np.complex128)
-        values[ranks0] = eval_field(field, sample_quantile_locations(n, b, 1, rng)[0])
+        values[ranks0] = eval_field(field, sample_quantile_locations(n, b, 1, gap_rng)[0])
         out.append(distortion(estimate_coeffs(SampleSet(values), b), field))
     return np.array(out)
 
@@ -261,28 +262,33 @@ def test_batched_cell_equals_the_full_path_above_16384_values(fixed_field, compl
 
 @pytest.mark.parametrize("fixed_field", [False, True])
 def test_sweep_cell_is_prefix_stable(fixed_field, complex_random_field):
-    # the first T trials of a 2T-trial cell are the T-trial cell
-    b, n, trials = 2, 60, 9
+    # the first T trials of a 2T-trial cell are the T-trial cell, below RANKED_MIN_N
+    # (a generator per trial) and from it on (one generator per kind of draw)
+    b, trials = 2, 9
     fixed = complex_random_field(b, np.random.default_rng(3)) if fixed_field else None
-    for base_seed in (20260822, 2**64 - 59):
-        short = ExperimentConfig(b_list=[b], n_list=[n], trials=trials, base_seed=base_seed)
-        long = ExperimentConfig(b_list=[b], n_list=[n], trials=2 * trials, base_seed=base_seed)
-        head = _bandwidth_distortions(long, b, fixed)[0][:trials]
-        assert head.tolist() == _bandwidth_distortions(short, b, fixed)[0].tolist()
+    for n in (60, RANKED_MIN_N, 10**5):
+        for base_seed in (20260822, 2**64 - 59):
+            short = ExperimentConfig(b_list=[b], n_list=[n], trials=trials, base_seed=base_seed)
+            long = ExperimentConfig(b_list=[b], n_list=[n], trials=2 * trials,
+                                    base_seed=base_seed)
+            head = _bandwidth_distortions(long, b, fixed)[0][:trials]
+            assert head.tolist() == _bandwidth_distortions(short, b, fixed)[0].tolist()
 
 
 @pytest.mark.parametrize("fixed_field", [False, True])
 def test_cell_is_the_same_bytes_at_two_workers(monkeypatch, fixed_field, complex_random_field):
     # an odd trial count, so the two workers write interleaved rows of the cell's arrays
-    b, n, trials = 2, 40, 37
+    # below RANKED_MIN_N; from it on, a cell draws in one call and uses no pool
+    b, trials = 2, 37
     fixed = complex_random_field(b, np.random.default_rng(8)) if fixed_field else None
-    cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=trials, base_seed=31)
-    monkeypatch.delenv(parallel.ENV_THREADS, raising=False)
-    serial = _bandwidth_distortions(cfg, b, fixed)[0]
-    monkeypatch.setenv(parallel.ENV_THREADS, "2")
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-    assert parallel.pool_size(trials) == 2
-    assert _bandwidth_distortions(cfg, b, fixed)[0].tobytes() == serial.tobytes()
+    for n in (40, RANKED_MIN_N):
+        cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=trials, base_seed=31)
+        monkeypatch.delenv(parallel.ENV_THREADS, raising=False)
+        serial = _bandwidth_distortions(cfg, b, fixed)[0]
+        monkeypatch.setenv(parallel.ENV_THREADS, "2")
+        assert parallel.pool_size(trials) == 2
+        assert _bandwidth_distortions(cfg, b, fixed)[0].tobytes() == serial.tobytes()
 
 
 def _bits(row):
@@ -343,9 +349,10 @@ def test_sweep_trial_locations_have_exact_order_statistic_moments(monkeypatch, n
     # the ranked locations a random-field sweep cell estimates from, against the
     # exact Beta means r/(n+1) and Cov(U_(i), U_(j)) = i(n-j+1)/((n+1)^2 (n+2)), i <= j;
     # and consecutive trials uncorrelated; n = 100 sorts whole draws, n = 10^5 draws
-    # Gamma gaps.  Over base seeds 1000..1039 the worst |z| of a mean was 2.9 and 3.85,
-    # of a lag-1 correlation 3.0 and 2.5, and the worst covariance error 0.044 and
-    # 0.053 of sd_i sd_j (U_(1)'s variance at n = 100, whose error has a heavy tail)
+    # the cell's Gamma gaps in one call.  Over base seeds 1000..1039 the worst |z| of a
+    # mean was 2.9 and 2.7, of a lag-1 correlation 3.0 and 3.1, and the worst covariance
+    # error 0.044 and 0.049 of sd_i sd_j (U_(1)'s variance at n = 100, whose error has a
+    # heavy tail)
     seen = []
 
     def capture(coeffs, locs):
@@ -367,6 +374,20 @@ def test_sweep_trial_locations_have_exact_order_statistic_moments(monkeypatch, n
     assert err.max() < 0.06, err
     lag = [np.corrcoef(locs[:-1, k], locs[1:, k])[0, 1] for k in range(2 * b + 1)]
     assert np.abs(lag).max() * math.sqrt(trials) < 4.0, lag
+
+
+def test_trial_seeds_are_numpys_generate_state_words():
+    # computed as arrays from the cell's pool, which holds numpy's 4 words
+    for base_seed in (0, 2**32 - 1, 2**32, 2**64 - 1):
+        for b in (0, 8, 1024):
+            for n in (1, 2**11, 2**53 - 1):
+                ss = np.random.SeedSequence((base_seed, b, n))
+                assert ss.pool.dtype == np.uint32 and ss.pool.shape == (4,)
+                for trials in (1, 2, 3, 1000):
+                    want = ss.generate_state(4 * trials, np.uint64).reshape(trials, 4)
+                    got = _trial_seeds(base_seed, b, n, trials)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_trial_seed_refuses_other_requests():
