@@ -202,8 +202,7 @@ def _trial_seeds(base_seed: int, b: int, n: int, trials: int) -> np.ndarray:
     _HASH_MULT^i mod 2^32``, then reads the words as little-endian uint64 pairs; these
     are the same words, computed as arrays.
     """
-    words = 8 * trials
-    h = np.full(words + 1, _HASH_MULT, dtype=np.uint32)
+    h = np.full(8 * trials + 1, _HASH_MULT, dtype=np.uint32)
     h[0] = _HASH_INIT
     np.multiply.accumulate(h, out=h)
     pool = np.random.SeedSequence((base_seed, b, n)).pool
