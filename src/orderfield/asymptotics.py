@@ -10,12 +10,12 @@ of those in closed form, provides the exact finite-n Beta moments of uniform
 order statistics as an oracle, and runs a seeded Monte Carlo check that
 compares empirical second moments against the formulas.  The check draws
 only the ranked locations the estimator reads, all trials in one
-`sample_quantile_locations` call on the generator it is given: no thread
-pool and no per-trial generators.
+`sample_quantile_locations` call on the generator it is given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,8 @@ from .fields import (
 )
 from .io import to_json
 from .sampling import quantile_indices, sample_quantile_locations
+
+MAX_EVAL_POINTS = 1024  # a cap on the covariance check's eval_points; see `_check_eval_points`
 
 
 def quantile_covariance(b: int) -> np.ndarray:
@@ -195,6 +197,30 @@ class CltReport:
         return to_json(self)
 
 
+def _check_eval_points(values) -> tuple:
+    """A list or 1-D array of at most `MAX_EVAL_POINTS` finite numbers, as floats.
+
+    Python and numpy integers and floats are numbers; booleans are not.  The check holds
+    about 50 bytes per trial and point, and clt.json one `PointwiseCheck` per point and cell.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)) or len(values) > MAX_EVAL_POINTS:
+        raise ValueError(
+            f"eval_points must be a list or 1-D array of at most {MAX_EVAL_POINTS} numbers")
+    points = []
+    for v in values:
+        number = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+        try:
+            x = float(v) if number else math.nan
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise ValueError(f"eval_points entries must be finite numbers, got {v!r}")
+        points.append(x)
+    return tuple(points)
+
+
 def clt_empirical_check(
     field: FourierCoefficients,
     n: int,
@@ -206,19 +232,16 @@ def clt_empirical_check(
 
     One `sample_quantile_locations` call on ``rng`` draws every trial's
     ranked locations exactly in law, without the other n - 2b - 1 points,
-    and `estimate_at` estimates all trials at once; neither a thread pool
-    nor per-trial generators are involved.  Second moments of the scaled
-    errors are taken about the analytic limits (which are zero-mean), and
-    the quantile comparison drops the degenerate zero-level coordinate that
-    the limit law excludes.  ``eval_points``, when given, must be a 1-D
-    array of finite floats; anything else raises ValueError before a draw.
+    and `estimate_at` estimates all trials at once.  Second moments of the
+    scaled errors are taken about the analytic limits (which are zero-mean),
+    and the quantile comparison drops the degenerate zero-level coordinate
+    that the limit law excludes.  ``eval_points``, when given, must pass
+    `_check_eval_points`; anything else raises ValueError before a draw.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if eval_points is not None:
-        points = np.asarray(eval_points, dtype=np.float64)
-        if points.ndim != 1 or not np.isfinite(points).all():
-            raise ValueError("eval_points must be a 1-D array of finite floats")
+        points = np.array(_check_eval_points(eval_points), dtype=np.float64)
     b = field.b
     ranks = quantile_indices(n, b)
     m = 2 * b + 1

@@ -2,17 +2,17 @@
 
 Each sweep cell seeds one ``SeedSequence((base_seed, b, n))`` and reads rows of
 4 words from its output state (`_trial_seeds`), so any cell of any sweep can be
-reproduced in isolation, the first T trials of a cell do not depend on its trial
-count, and the outputs are byte-identical at every worker count.  Below
-`RANKED_MIN_N` points, row i seeds trial i's PCG64, and trial i of cell j writes
-only row (j, i) of its bandwidth's arrays: its field's 2b+2 raw uniforms (random
-mode only), then the 2b+1 ranked locations of a sorted `deploy` draw.  From there
-on, rows 0 and 1 seed the cell's field and gap streams: one ``random`` call fills
-all its trials' raw uniforms, and one `sample_quantile_locations` call draws all
-their ranked locations, both in trial order and with no thread pool.  Each
-bandwidth then builds and checks all its fields in one array step
-(`_fields_from_draws`) and estimates them in another (`estimate_at`); the sweep
-reduces every cell's mean and standard error in one more.
+reproduced in isolation, and the first T trials of a cell do not depend on its
+trial count.  Below `RANKED_MIN_N` points, row i seeds trial i's PCG64, and
+trial i of cell j, run in order on the calling thread, writes only row (j, i) of
+its bandwidth's arrays: its field's 2b+2 raw uniforms (random mode only), then
+the 2b+1 ranked locations of a sorted `deploy` draw.  From there on, rows 0 and
+1 seed the cell's field and gap streams: one ``random`` call fills all its
+trials' raw uniforms, and one `sample_quantile_locations` call draws all their
+ranked locations, both in trial order.  Each bandwidth then builds and checks
+all its fields in one array step (`_fields_from_draws`) and estimates them in
+another (`estimate_at`); the sweep reduces every cell's mean and standard error
+in one more.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .ambiguity import AmbiguityReport, ambiguity_demo
-from .asymptotics import clt_empirical_check
+from .asymptotics import _check_eval_points, clt_empirical_check
 from .estimator import distortion_bound, estimate_at
 from .fields import (
     FourierCoefficients, _check_bandwidth, _fields_from_draws, load_field, random_field,
@@ -39,7 +39,6 @@ from .sampling import (
 
 MAX_SEED = 2**64
 MAX_TRIALS = 2**32  # a cap on a config's trial count, far beyond what a run can hold
-MAX_EVAL_POINTS = 1024  # a cap on a config's eval_points; see `_check_eval_points`
 
 SWEEP_CSV_HEADER = "b,n,trials,mean_distortion,stderr,n_times_mse,bound"
 
@@ -64,8 +63,7 @@ class ExperimentConfig:
     eval_points: tuple | None = None
 
     def __post_init__(self):
-        b_list = tuple(as_int(v, "b_list entry") for v in self.b_list)
-        n_list = tuple(as_int(v, "n_list entry") for v in self.n_list)
+        b_list, n_list = _int_list(self.b_list, "b_list"), _int_list(self.n_list, "n_list")
         if not b_list:
             raise ValueError("b_list must be non-empty")
         if not n_list:
@@ -113,27 +111,11 @@ class ExperimentConfig:
         return cls(**d)
 
 
-def _check_eval_points(values) -> tuple:
-    """A list or 1-D array of at most `MAX_EVAL_POINTS` finite numbers, not booleans, as floats.
-
-    The covariance check holds about 50 bytes per trial and point, and
-    clt.json gains one `PointwiseCheck` per point and cell.
-    """
-    if isinstance(values, np.ndarray) and values.ndim == 1:
-        values = values.tolist()
-    if not isinstance(values, (list, tuple)) or len(values) > MAX_EVAL_POINTS:
-        raise ValueError(
-            f"eval_points must be a list or 1-D array of at most {MAX_EVAL_POINTS} numbers")
-    points = []
-    for v in values:
-        try:
-            x = math.nan if isinstance(v, bool) or not isinstance(v, (int, float)) else float(v)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if not math.isfinite(x):
-            raise ValueError(f"eval_points entries must be finite numbers, got {v!r}")
-        points.append(x)
-    return tuple(points)
+def _int_list(values, name: str) -> tuple:
+    """A config's list of integers as a tuple; anything but a list or tuple raises ValueError."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(as_int(v, f"{name} entry") for v in values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -308,10 +290,10 @@ def run_clt_check(cfg: ExperimentConfig, eval_points=None):
 
     Random mode fixes one field per bandwidth (drawn from the base seed)
     because the limit covariances depend on the field; a coefficient-file
-    field_source pins the field explicitly.  ``eval_points``, when given, is checked
-    as the config's are and replaces them.  Writes clt.json when output_dir is set.
+    field_source pins the field explicitly.  ``eval_points``, when given, replaces the
+    config's; `clt_empirical_check` checks either.  Writes clt.json when output_dir is set.
     """
-    eval_points = cfg.eval_points if eval_points is None else _check_eval_points(eval_points)
+    eval_points = cfg.eval_points if eval_points is None else eval_points
     fixed = _resolve_field(cfg)
     reports = []
     for b in cfg.b_list:

@@ -1,17 +1,12 @@
-"""Deterministic fan-out of independent Monte Carlo trials.
-
-Worker count comes from the ORDERSTAT_THREADS environment variable (default
-1), capped at the trial count and the CPU count.  Results are always
-assembled in trial order, so output is identical at any worker count.
-"""
+"""The trial loop of a sweep cell: every trial in order, on the calling thread."""
 
 from __future__ import annotations
 
 import os
-from typing import Callable, TypeVar
+from typing import Callable
 
-T = TypeVar("T")
-
+# Read by no command: only the benchmark's tracer (perfbench/tracing.py) reports the
+# value as its worker count; they go with this module once the tracer stops reading them.
 ENV_THREADS = "ORDERSTAT_THREADS"
 
 
@@ -28,18 +23,6 @@ def worker_count() -> int:
     return count
 
 
-def pool_size(count: int) -> int:
-    """Threads for ``count`` trials: the requested workers, at most one per trial and CPU."""
-    workers = min(worker_count(), count)
-    return workers if workers <= 1 else min(workers, os.cpu_count() or 1)
-
-
-def trial_map(fn: Callable[[int], T], count: int) -> list[T]:
-    """Apply ``fn`` to trial indices 0..count-1, merging results in index order."""
-    workers = pool_size(count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    from concurrent.futures import ThreadPoolExecutor  # only here: a serial run need not load it
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+def trial_map(fn: Callable[[int], object], count: int) -> list:
+    """Apply ``fn`` to trial indices 0..count-1 in order, on the calling thread."""
+    return [fn(i) for i in range(count)]

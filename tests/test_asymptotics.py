@@ -298,7 +298,8 @@ def test_clt_check_validates_arguments(cosine_field):
     # evaluation points are checked before the generator draws anything
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    for points in ([np.nan, 0.3], [0.2, np.inf], 0.3, [[0.1, 0.2]], np.zeros((2, 1))):
+    for points in ([np.nan, 0.3], [0.2, np.inf], 0.3, [[0.1, 0.2]], np.zeros((2, 1)),
+                   [True, 0.5], np.zeros(2000)):
         with pytest.raises(ValueError, match="eval_points"):
             clt_empirical_check(cosine_field, 100, 10, rng, eval_points=points)
     assert rng.bit_generator.state == state

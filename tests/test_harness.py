@@ -31,9 +31,9 @@ from orderfield.estimator import estimate_at
 from orderfield.ambiguity import MAX_GRID
 from orderfield.fields import MAX_BANDWIDTH, MAX_COEFF, FourierCoefficients, eval_field
 from orderfield.harness import (
-    MAX_EVAL_POINTS, SWEEP_CSV_HEADER, _bandwidth_distortions, _trial_seeds, _TrialSeed,
+    SWEEP_CSV_HEADER, _bandwidth_distortions, _trial_seeds, _TrialSeed,
 )
-from orderfield.asymptotics import PointwiseCheck, QuantileMoments
+from orderfield.asymptotics import MAX_EVAL_POINTS, PointwiseCheck, QuantileMoments
 from orderfield.harness import SweepRow
 from orderfield.io import dumps_json, matrix_to_json, write_json
 from orderfield.sampling import (
@@ -58,6 +58,9 @@ def test_config_rejects_bad_shapes():
         small_config(b_list=[])
     with pytest.raises(ValueError):
         small_config(n_list=[])
+    for key, bad in [("b_list", 3), ("n_list", 60), ("n_list", "60"), ("b_list", None)]:
+        with pytest.raises(ValueError, match=f"^{key} must be a list of integers, got {bad!r}$"):
+            small_config(**{key: bad})
     with pytest.raises(ValueError):
         small_config(trials=0)
     # trial counts are capped below 2^32; such configs are never run
@@ -109,7 +112,12 @@ def test_config_eval_points_are_finite_numbers_up_to_the_cap():
     assert small_config(eval_points=[-1, 0.5, 2**60]).eval_points == (-1.0, 0.5, 2.0**60)
     assert small_config(eval_points=[0.0] * MAX_EVAL_POINTS).eval_points == (0.0,) * 1024
     assert small_config(eval_points=[]).eval_points == ()
-    for bad in [[True], [0.5, "0.5"], [None], [math.nan], [-math.inf], [10**400], [[0.5]]]:
+    # numpy integers and floats are numbers, as `io.as_int` takes numpy integers
+    assert small_config(eval_points=[np.int64(1), 0.5]).eval_points == (1.0, 0.5)
+    assert small_config(eval_points=[np.float32(0.25)]).eval_points == (0.25,)
+    assert small_config(eval_points=np.array([3, -2])).eval_points == (3.0, -2.0)
+    for bad in [[True], [0.5, "0.5"], [None], [math.nan], [-math.inf], [10**400], [[0.5]],
+                [np.bool_(True)], [np.float32(np.inf)], np.array([True, False])]:
         with pytest.raises(ValueError, match="eval_points entries must be finite numbers"):
             small_config(eval_points=bad)
     for bad in [0.5, "0.5", {"t": 0.5}, [0.0] * (MAX_EVAL_POINTS + 1)]:
@@ -275,36 +283,20 @@ def test_sweep_cell_is_prefix_stable(fixed_field, complex_random_field):
             assert head.tolist() == _bandwidth_distortions(short, b, fixed)[0].tolist()
 
 
-@pytest.mark.parametrize("fixed_field", [False, True])
-def test_cell_is_the_same_bytes_at_two_workers(monkeypatch, fixed_field, complex_random_field):
-    # an odd trial count, so the two workers write interleaved rows of the cell's arrays
-    # below RANKED_MIN_N; from it on, a cell draws in one call and uses no pool
-    b, trials = 2, 37
-    fixed = complex_random_field(b, np.random.default_rng(8)) if fixed_field else None
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-    for n in (40, RANKED_MIN_N):
-        cfg = ExperimentConfig(b_list=[b], n_list=[n], trials=trials, base_seed=31)
-        monkeypatch.delenv(parallel.ENV_THREADS, raising=False)
-        serial = _bandwidth_distortions(cfg, b, fixed)[0]
-        monkeypatch.setenv(parallel.ENV_THREADS, "2")
-        assert parallel.pool_size(trials) == 2
-        assert _bandwidth_distortions(cfg, b, fixed)[0].tobytes() == serial.tobytes()
-
-
 def _bits(row):
     return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("trials", [1, 2, 37])
 @pytest.mark.parametrize("fixed_field", [False, True])
 def test_sweep_rows_and_slopes_equal_single_cell_sweeps(
-    monkeypatch, tmp_path, workers, trials, fixed_field, complex_random_field
+    monkeypatch, tmp_path, threads, trials, fixed_field, complex_random_field
 ):
     # a bandwidth's cells are estimated together; each row must still be its own cell's,
-    # bitwise, with n on both sides of RANKED_MIN_N and every slope the row-by-row fit
-    monkeypatch.setenv(parallel.ENV_THREADS, str(workers))
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    # bitwise, with n on both sides of RANKED_MIN_N and every slope the row-by-row fit,
+    # whatever ORDERSTAT_THREADS holds: the package does not read it
+    monkeypatch.setenv(parallel.ENV_THREADS, str(threads))
     base = dict(n_list=[11, 300, RANKED_MIN_N - 1, RANKED_MIN_N, 10**5], trials=trials,
                 base_seed=2**64 - 3 * trials)
     if fixed_field:
@@ -676,6 +668,10 @@ def test_cli_runtime_errors_exit_2(tmp_path, run_cli, cosine_field):
     cfg.write_text(json.dumps(dict(b_list=[1], n_list=[30], trials=0, base_seed=1)))
     r = run_cli("mse-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
     assert r.returncode == 2, r.stderr
+    cfg.write_text(json.dumps(dict(b_list=3, n_list=[30], trials=2, base_seed=1)))
+    r = run_cli("mse-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
+    assert (r.returncode, r.stderr) == (
+        2, "orderfield: error: b_list must be a list of integers, got 3\n"), r.stderr
     assert not (tmp_path / "o").exists()
 
 
@@ -745,6 +741,25 @@ def test_cli_refuses_2_to_the_53_points_at_the_config(tmp_path, capsys, monkeypa
         assert capsys.readouterr() == ("", "orderfield: error: sample count must be below 2**53 "
                                            "for exact Gamma shapes, got 9007199254740992\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_ignores_the_thread_variable(tmp_path, capsys, monkeypatch):
+    # in-process: cells below and from RANKED_MIN_N, with the variable unset and at two
+    # values that a worker count would refuse
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(b_list=[1, 2], n_list=[40, RANKED_MIN_N], trials=5,
+                                   base_seed=17)))
+    outputs = []
+    for value in (None, "0", "two"):
+        if value is None:
+            monkeypatch.delenv(parallel.ENV_THREADS, raising=False)
+        else:
+            monkeypatch.setenv(parallel.ENV_THREADS, value)
+        out = tmp_path / f"o{len(outputs)}"
+        assert cli.main(["mse-sweep", "--config", str(cfg), "--out", str(out)]) == 0, value
+        assert capsys.readouterr().err == "", value
+        outputs.append([(out / name).read_bytes() for name in ("sweep.csv", "sweep.json")])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_cli_eval_points_reach_clt_json_and_bad_ones_exit_2(tmp_path, capsys):

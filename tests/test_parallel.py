@@ -1,36 +1,16 @@
-import os
 import subprocess
 import sys
 
 import pytest
 
-from orderfield.parallel import ENV_THREADS, pool_size, trial_map
-
-
-def test_pool_size_defaults_to_one_worker(monkeypatch):
-    monkeypatch.delenv(ENV_THREADS, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert pool_size(100) == 1
-
-
-def test_pool_size_is_capped_by_trials_and_cpus(monkeypatch):
-    # only the sizing is checked: no pool is started at these values
-    monkeypatch.setenv(ENV_THREADS, "100000")
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert pool_size(1000) == 4
-    assert pool_size(3) == 3
-    assert pool_size(1) == 1
-    monkeypatch.setenv(ENV_THREADS, "2")
-    assert pool_size(1000) == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert pool_size(1000) == 1
+from orderfield.parallel import ENV_THREADS, trial_map, worker_count
 
 
 def test_pool_size_keeps_the_variable_validation(monkeypatch):
     for bad in ("0", "-3", "two", ""):
         monkeypatch.setenv(ENV_THREADS, bad)
         with pytest.raises(ValueError, match=ENV_THREADS):
-            pool_size(10)
+            worker_count()
 
 
 def test_trial_map_merges_in_trial_order(monkeypatch):
