@@ -57,19 +57,20 @@ def field_sample_covariance(c: FourierCoefficients) -> np.ndarray:
     return np.outer(d, d) * quantile_covariance(c.b)
 
 
-def coeff_covariance(k_samples: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+def coeff_covariance(k_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian and pseudo covariance of the limiting coefficient errors.
 
-    With S the image of the real Gaussian sample-error limit X under the
+    ``k_samples`` is the covariance K of the real Gaussian sample-error limit X,
+    a square of odd side 2b+1, which fixes b.  With S the image of X under the
     scaled conjugate-transpose grid transform, returns
     ``E[S S^H] = Phi^H K Phi / (2b+1)^2`` and
     ``E[S S^T] = Phi^H K conj(Phi) / (2b+1)^2``.
     """
-    m = 2 * b + 1
     k = np.asarray(k_samples, dtype=np.float64)
-    if k.shape != (m, m):
-        raise ValueError(f"expected covariance of shape {(m, m)}, got {k.shape}")
-    phi = build_dft_matrix(b)
+    m = k.shape[0] if k.ndim == 2 else 0
+    if k.shape != (m, m) or m % 2 != 1:
+        raise ValueError(f"expected a square covariance of odd side 2b+1, got shape {k.shape}")
+    phi = build_dft_matrix((m - 1) // 2)
     scale = float(m) ** 2
     herm = phi.conj().T @ k @ phi / scale
     pseudo = phi.conj().T @ k @ phi.conj() / scale
@@ -99,7 +100,7 @@ def covariance_bundle(c: FourierCoefficients) -> CovarianceBundle:
     """Compute the full covariance bundle for a field."""
     quant = quantile_covariance(c.b)
     samp = field_sample_covariance(c)
-    herm, pseudo = coeff_covariance(samp, c.b)
+    herm, pseudo = coeff_covariance(samp)
     return CovarianceBundle(
         b=c.b, quantile_cov=quant, sample_cov=samp, coeff_cov_herm=herm, coeff_cov_pseudo=pseudo
     )
@@ -288,7 +289,7 @@ def clt_empirical_check(
 
     checks = []
     if eval_points is not None:
-        point_errs = sqrt_n * (_horner_eval(ests, b, points) - eval_field(field, points))
+        point_errs = sqrt_n * (_horner_eval(ests, points) - eval_field(field, points))
         point_rows = np.ascontiguousarray(point_errs.T)
         seconds = np.mean(point_rows**2, axis=1)
         abs_seconds = np.mean(np.abs(point_rows) ** 2, axis=1)

@@ -41,7 +41,7 @@ def estimate_at(coeffs: np.ndarray, locations: np.ndarray) -> np.ndarray:
     """The ``(T, 2b+1)`` estimates from T trials' stacked `quantile_locations`, for one
     field's ``coeffs`` or a stack of them; row i equals `estimate_coeffs` on trial i, bitwise."""
     b = (coeffs.shape[-1] - 1) // 2
-    est = _grid_to_coeffs(build_dft_matrix(b), _horner_eval(coeffs, b, locations))
+    est = _grid_to_coeffs(build_dft_matrix(b), _horner_eval(coeffs, locations))
     _check_coeffs(est, capped=False)
     return est
 

@@ -40,11 +40,12 @@ class FourierCoefficients:
     """Complex Fourier coefficients of a periodic bandlimited field.
 
     ``coeffs[i]``, one of an odd number of finite values, is the coefficient
-    of ``exp(2j*pi*k*t)`` with ``k = i - b``.  ``b``, ``real_valued`` (conjugate
-    symmetry, by the rule of `_check_coeffs`) and ``bounded`` (magnitudes summing
-    to at most one, so the amplitude stays within [-1, 1]) are read off the
-    coefficients, which are all a field holds.  The parts of a field built here or
-    inverted from grid values (up to rounding) are held to `MAX_COEFF`; estimates and
+    of ``exp(2j*pi*k*t)`` with ``k = i - b``.  ``b`` (at most `MAX_BANDWIDTH`, so
+    every field built can be saved and loaded), ``real_valued`` (conjugate symmetry,
+    by the rule of `_check_coeffs`) and ``bounded`` (magnitudes summing to at most
+    one, so the amplitude stays within [-1, 1]) are read off the coefficients,
+    which are all a field holds.  The parts of a field built here or inverted
+    from grid values (up to rounding) are held to `MAX_COEFF`; estimates and
     shifts, derived from such fields, come from `_checked` and need only be finite.
     """
 
@@ -57,9 +58,10 @@ class FourierCoefficients:
         c = np.asarray(self.coeffs, dtype=np.complex128).copy()
         if c.ndim != 1 or c.size % 2 != 1:
             raise ValueError(f"expected an odd number of coefficients, got shape {c.shape}")
+        object.__setattr__(self, "b", (c.size - 1) // 2)
+        _check_bandwidth(self.b)
         real_valued, bounded = _check_coeffs(c) if flags is None else flags
         object.__setattr__(self, "coeffs", _freeze(c))
-        object.__setattr__(self, "b", (c.size - 1) // 2)
         object.__setattr__(self, "real_valued", real_valued)
         object.__setattr__(self, "bounded", bounded)
 
@@ -165,7 +167,8 @@ def _grid_to_coeffs(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
 _EVAL_BLOCK = 2**14  # the most values `_horner_eval` computes at once, chosen by measurement
 
 
-def _horner_block(c: np.ndarray, b: int, t):
+def _horner_block(c: np.ndarray, t):
+    b = (len(c) - 1) // 2
     t = np.mod(t, 1.0)
     z = np.exp(2j * np.pi * t)
     acc = np.full(np.broadcast_shapes(np.shape(c[-1]), z.shape), c[-1], dtype=z.dtype)
@@ -177,7 +180,7 @@ def _horner_block(c: np.ndarray, b: int, t):
     return acc
 
 
-def _horner_eval(coeffs: np.ndarray, b: int, t):
+def _horner_eval(coeffs: np.ndarray, t):
     """Evaluate sum_k coeffs[..., b+k] * exp(2j*pi*k*t) for scalar or array t; a
     ``(T, 2b+1)`` coefficient stack takes ``(T, k)`` points, row by row, or ``(k,)``
     points shared by every row, which gives ``(T, k)`` values.
@@ -193,17 +196,17 @@ def _horner_eval(coeffs: np.ndarray, b: int, t):
     c = coeffs.T[:, :, None] if stack else coeffs
     shape = np.broadcast_shapes(np.shape(c[-1]), t.shape)
     if math.prod(shape) == 1:
-        pair = _horner_block(coeffs.reshape(-1), b, np.repeat(t.reshape(-1), 2))
+        pair = _horner_block(coeffs.reshape(-1), np.repeat(t.reshape(-1), 2))
         return pair[:1].reshape(shape)[()]
     rows = shape[0] if stack else t.size
     step = max(1, _EVAL_BLOCK // max(1, shape[1])) if stack else _EVAL_BLOCK
     if rows <= step:
-        return _horner_block(c, b, t)[()]
+        return _horner_block(c, t)[()]
     points = t if stack else t.reshape(-1)
     out = np.empty(shape if stack else rows, dtype=np.complex128)
     for i in range(0, rows, step):
         block = slice(min(i, rows - 2), i + step)
-        out[block] = _horner_block(c[:, block] if stack else c, b,
+        out[block] = _horner_block(c[:, block] if stack else c,
                                    points[block] if points.ndim == out.ndim else points)
     return out.reshape(shape)
 
@@ -214,7 +217,7 @@ def eval_field(c: FourierCoefficients, t):
     Returns complex values; for a real-valued field the imaginary part is
     rounding noise, which grows with the coefficient magnitude sum.
     """
-    return _horner_eval(c.coeffs, c.b, t)
+    return _horner_eval(c.coeffs, t)
 
 
 def eval_derivative(c: FourierCoefficients, t):
@@ -226,7 +229,7 @@ def eval_derivative(c: FourierCoefficients, t):
     polynomials of unit sup norm).
     """
     k = np.arange(-c.b, c.b + 1)
-    return _horner_eval(c.coeffs * (2j * np.pi * k), c.b, t)
+    return _horner_eval(c.coeffs * (2j * np.pi * k), t)
 
 
 def samples_from_coeffs(c: FourierCoefficients) -> np.ndarray:
@@ -254,11 +257,12 @@ def coeffs_from_samples(g_vec: np.ndarray) -> FourierCoefficients:
     return FourierCoefficients._checked(c, flags)
 
 
-def _fields_from_draws(b: int, draws: np.ndarray) -> np.ndarray:
+def _fields_from_draws(draws: np.ndarray) -> np.ndarray:
     """The checked ``(T, 2b+1)`` coefficient stack of T random fields, one per row of a
     ``(T, 2b+2)`` array of raw uniforms: b+1 magnitudes, b phases, scaled by 2*pi here,
     and the uniform that picks the sign of the centre term."""
     draws = np.asarray(draws, dtype=np.float64)
+    b = (draws.shape[1] - 2) // 2
     mags, phases, sign_u = draws[:, : b + 1], draws[:, b + 1 : 2 * b + 1], draws[:, -1]
     c = np.empty((mags.shape[0], 2 * b + 1), dtype=np.complex128)
     c[:, b] = np.where(sign_u < 0.5, 1.0, -1.0) * mags[:, 0]
@@ -289,9 +293,8 @@ def random_field(b: int, rng: np.random.Generator) -> FourierCoefficients:
     """
     _check_bandwidth(b)
     # `_fields_from_draws` refuses a field that is not real-valued and bounded
-    return FourierCoefficients._checked(
-        _fields_from_draws(b, rng.random((1, 2 * b + 2)))[0], (True, True)
-    )
+    draws = rng.random((1, 2 * b + 2))
+    return FourierCoefficients._checked(_fields_from_draws(draws)[0], (True, True))
 
 
 def load_field(path) -> FourierCoefficients:

@@ -33,12 +33,13 @@ from .fields import (
 )
 from .io import as_int, read_json, to_json, write_csv_lines, write_float_csv, write_json
 from .parallel import trial_map
-from .sampling import (
-    RANKED_MIN_N, _check_exact_shape, deploy, quantile_indices, sample_quantile_locations,
-)
+from .sampling import _check_exact_shape, deploy, quantile_indices, sample_quantile_locations
 
 MAX_SEED = 2**64
 MAX_TRIALS = 2**32  # a cap on a config's trial count, far beyond what a run can hold
+# A sweep cell of at least this many points draws its trials' ranked locations alone,
+# in one `sample_quantile_locations` call; below it, each trial sorts a `deploy` draw.
+RANKED_MIN_N = 2**11
 
 SWEEP_CSV_HEADER = "b,n,trials,mean_distortion,stderr,n_times_mse,bound"
 
@@ -233,7 +234,7 @@ def _bandwidth_distortions(cfg: ExperimentConfig, b: int, fixed) -> np.ndarray:
             locs[j, i] = deploy(n, rng).locations[ranks]
 
         trial_map(one_trial, cfg.trials)
-    coeffs = fixed.coeffs if fixed is not None else _fields_from_draws(b, draws.reshape(-1, m + 1))
+    coeffs = fixed.coeffs if fixed is not None else _fields_from_draws(draws.reshape(-1, m + 1))
     est = estimate_at(coeffs, locs.reshape(-1, m))
     return np.sum(np.abs(est - coeffs) ** 2, axis=1).reshape(shape)
 

@@ -101,11 +101,11 @@ def dumps_json(doc) -> str:
     """``json.dumps(to_json(doc), indent=2, sort_keys=True)``, byte for byte.
 
     The stdlib takes its C encoder only without ``indent``; this walks ``doc``
-    once, without building `to_json`'s tree.  A list of ``[re, im]`` float
-    pairs, a 2-D array's pairs, and each flat record (a dict or report
-    dataclass whose values are all exact floats, ints or complex numbers) are
-    written with one format, a record's cached per keys, value types and
-    indent, unless a value is not finite.  A key that is not a str raises TypeError.
+    once, without building `to_json`'s tree.  A 2-D array's pairs and each
+    flat record (a dict or report dataclass whose values are all exact floats,
+    ints or complex numbers) are written with one format, a record's cached per
+    keys, value types and indent, unless a value is not finite.  A key that is
+    not a str raises TypeError.
     """
     out = []
     _encode(doc, "\n", out.append)
@@ -125,10 +125,6 @@ def _encode(x, newline: str, emit) -> None:
     elif isinstance(x, (list, tuple)):
         if not x:
             emit("[]")
-            return
-        pairs = _pair_floats(x)
-        if pairs is not None and "n" not in (text := _pairs_format(len(x), newline) % pairs):
-            emit(text)  # finite: the repr of a finite float holds no n, as nan and inf do
             return
         inner = newline + "  "
         sep = "[" + inner
@@ -202,14 +198,6 @@ def _float_text(x: float) -> str:
     if math.isfinite(x):
         return float.__repr__(x)
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _pair_floats(x):
-    """The flattened values of a list of 2-lists of exact floats (for ``%r``), else None."""
-    if set(map(type, x)) != {list} or set(map(len, x)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(x))
-    return flat if set(map(type, flat)) == {float} else None
 
 
 def _write_in_place(path, chunks) -> None:

@@ -9,10 +9,7 @@ diagnostics) reads them from the `DeploymentDraw`; nothing on the estimation
 path accepts a draw.  Monte Carlo trials evaluate the field only at the 2b+1
 `quantile_locations`.  `sample_quantile_locations` draws those ranked locations
 alone, exactly in law, without the other n - 2b - 1 points, from 2b+2 Gamma gaps
-per deployment: for the covariance check, and for a sweep cell of at least
-`RANKED_MIN_N` points, which draws all its trials' locations in one call; the
-trials of a smaller sweep cell each still sort a whole `deploy` draw, the
-reference path.
+per deployment, for many deployments in one call.
 """
 
 from __future__ import annotations
@@ -23,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierCoefficients, eval_field, _check_bandwidth, _freeze
-from .io import _FLOAT_CHUNK as _SAVE_CHUNK, write_float_csv, write_json
+from .io import write_float_csv, write_json
 
 MAX_SAMPLES = 10**8  # `sample` holds 25 bytes per value (tools/mem_per_value.py), 2.5 GB at most
-# A sweep cell of at least this many points draws its trials' ranked locations alone,
-# in one `sample_quantile_locations` call; below it, each trial sorts a `deploy` draw.
-RANKED_MIN_N = 2**11
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +177,7 @@ def save_samples(s: SampleSet, csv_path, sidecar_path, b_source: int, seed: str)
     ``\\r\\n`` line ends, from `io.write_float_csv`, the one float CSV writer:
     its double-double digits err by under 2^-46, so roundings more than 2^-36
     from a tie are exact, and Python formats the rest.  It formats
-    ``_SAVE_CHUNK`` floats at a time, so memory stays within about 2.2 MB.
+    ``io._FLOAT_CHUNK`` floats at a time, so memory stays within about 2.2 MB.
     """
     write_float_csv(csv_path, "value_re,value_im", s.values.view(np.float64).reshape(-1, 2), "\r\n")
     write_json(sidecar_path, {"n": int(s.n), "b_source": int(b_source), "seed": seed})

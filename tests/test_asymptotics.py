@@ -88,7 +88,7 @@ def test_covariances_are_exactly_scale_equivariant():
 def test_coeff_covariance_identity_input():
     for b in (1, 3):
         m = 2 * b + 1
-        herm, pseudo = coeff_covariance(np.eye(m), b)
+        herm, pseudo = coeff_covariance(np.eye(m))
         npt.assert_allclose(herm, np.eye(m) / m, atol=1e-12)
         npt.assert_allclose(pseudo, pseudo.T, atol=1e-12)
 
@@ -98,19 +98,21 @@ def test_coeff_covariance_trace_preservation(rng):
     m = 2 * b + 1
     a = rng.normal(size=(m, m))
     k = a @ a.T
-    herm, _ = coeff_covariance(k, b)
+    herm, _ = coeff_covariance(k)
     npt.assert_allclose(np.trace(herm).real, np.trace(k) / m, atol=1e-10)
 
 
 def test_coeff_covariance_zero_input():
-    herm, pseudo = coeff_covariance(np.zeros((3, 3)), 1)
+    herm, pseudo = coeff_covariance(np.zeros((3, 3)))
     npt.assert_array_equal(herm, np.zeros((3, 3)))
     npt.assert_array_equal(pseudo, np.zeros((3, 3)))
 
 
 def test_coeff_covariance_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        coeff_covariance(np.zeros((3, 3)), 2)
+    # b is read off the matrix, so only a square matrix of odd side is one
+    for shape in ((3, 5), (5, 3), (4, 4), (0, 0), (3,), (3, 3, 3)):
+        with pytest.raises(ValueError, match="square covariance of odd side"):
+            coeff_covariance(np.zeros(shape))
 
 
 def test_covariance_bundle_invariants(rng):

@@ -168,9 +168,9 @@ def test_blocked_eval_equals_one_block_bitwise_for_one_field(b):
     coeffs = rng.normal(size=2 * b + 1) + 1j * rng.normal(size=2 * b + 1)
     for size in BLOCK_SIZES:
         t = rng.random(size) * 4.0 - 1.5
-        assert_same_bits(fields._horner_eval(coeffs, b, t), reference_eval(coeffs, b, t))
+        assert_same_bits(fields._horner_eval(coeffs, t), reference_eval(coeffs, b, t))
         for grid in (t.reshape(size, 1), rng.random((size, 3)), rng.random((3, size)).T):
-            assert_same_bits(fields._horner_eval(coeffs, b, grid), reference_eval(coeffs, b, grid))
+            assert_same_bits(fields._horner_eval(coeffs, grid), reference_eval(coeffs, b, grid))
 
 
 @pytest.mark.parametrize("b", [0, 1, 2, 8])
@@ -181,12 +181,12 @@ def test_blocked_eval_equals_one_block_bitwise_for_a_stack(b):
         for k in (0, 1, 3):
             # row by row, from C- and Fortran-ordered points, or shared by every row
             for t in (rng.random((rows, k)), rng.random((k, rows)).T, rng.random(k)):
-                assert_same_bits(fields._horner_eval(stack, b, t), reference_eval(stack, b, t))
+                assert_same_bits(fields._horner_eval(stack, t), reference_eval(stack, b, t))
     # one row longer than a block, and a few such rows
     for rows in (1, 3):
         stack = rng.normal(size=(rows, 2 * b + 1)) + 1j * rng.normal(size=(rows, 2 * b + 1))
         for t in (rng.random((rows, BLOCK + 1)), rng.random(2 * BLOCK + 1)):
-            assert_same_bits(fields._horner_eval(stack, b, t), one_block_eval(stack, b, t))
+            assert_same_bits(fields._horner_eval(stack, t), one_block_eval(stack, b, t))
 
 
 @pytest.mark.parametrize("b", [0, 1, 3, 8])
@@ -212,8 +212,8 @@ def test_a_lone_value_equals_the_same_point_among_others(b):
         derivatives = eval_derivative(c, t)
         for i in (0, 17, 37):
             lone = [eval_field(c, t[i : i + 1])[0], eval_field(c, float(t[i])), eval_field(c, t[i]),
-                    fields._horner_eval(coeffs[None], b, t[None, i : i + 1])[0, 0],
-                    fields._horner_eval(coeffs[None], b, t[i : i + 1])[0, 0]]
+                    fields._horner_eval(coeffs[None], t[None, i : i + 1])[0, 0],
+                    fields._horner_eval(coeffs[None], t[i : i + 1])[0, 0]]
             assert_same_bits(np.array(lone), np.full(5, among[i]))
             assert_same_bits(np.array([eval_derivative(c, float(t[i]))]), derivatives[i : i + 1])
 
@@ -367,7 +367,7 @@ def test_random_field_and_stacked_fields_equal_the_loop_bitwise(b):
     seeds = range(200)
     loop = np.stack([loop_random_field(b, np.random.default_rng(s)).coeffs for s in seeds])
     one_by_one = np.stack([random_field(b, np.random.default_rng(s)).coeffs for s in seeds])
-    stacked = _fields_from_draws(b, [np.random.default_rng(s).random(2 * b + 2) for s in seeds])
+    stacked = _fields_from_draws([np.random.default_rng(s).random(2 * b + 2) for s in seeds])
     assert one_by_one.tobytes() == loop.tobytes()
     assert stacked.tobytes() == loop.tobytes()
     # a raw row is the oracle's generator calls: all leave the generator in one state
@@ -387,7 +387,7 @@ def test_fields_from_raw_rows_equal_random_field_and_the_loop_bitwise(b):
     rng_f, rng_l = np.random.default_rng(9), np.random.default_rng(9)
     one_by_one = np.stack([random_field(b, rng_f).coeffs for _ in range(trials)])
     loop = np.stack([loop_random_field(b, rng_l).coeffs for _ in range(trials)])
-    stacked = _fields_from_draws(b, rows)
+    stacked = _fields_from_draws(rows)
     assert stacked.tobytes() == one_by_one.tobytes()
     assert stacked.tobytes() == loop.tobytes()
 
@@ -396,7 +396,7 @@ def test_stacked_fields_with_all_zero_magnitudes_are_the_unit_centre_field():
     b = 2
     zero = np.concatenate((np.zeros(b + 1), np.ones(b), [0.9]))
     live = np.random.default_rng(5).random(2 * b + 2)
-    c = _fields_from_draws(b, [zero, live, zero])
+    c = _fields_from_draws([zero, live, zero])
     unit = np.eye(2 * b + 1, dtype=np.complex128)[b]
     assert c[0].tobytes() == c[2].tobytes() == unit.tobytes()
     expected = loop_random_field(b, np.random.default_rng(5)).coeffs
@@ -408,7 +408,7 @@ def test_stacked_fields_reject_a_non_finite_draw():
     nan_draw = np.array([0.5, np.nan, 0.3, 0.2])
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="coefficients must be finite"):
-            _fields_from_draws(1, [live, nan_draw, live])
+            _fields_from_draws([live, nan_draw, live])
 
 
 def test_stacked_check_rejects_each_bad_row_as_the_coefficient_type_does():
@@ -493,6 +493,11 @@ def test_from_json_dict_checks_the_document_b_and_real_valued_claim():
 
 def test_bandwidth_is_capped(rng):
     assert random_field(MAX_BANDWIDTH, rng).b == MAX_BANDWIDTH
+    # both constructors cap b too, so every field built here can be saved and loaded
+    for make in (FourierCoefficients, lambda c: FourierCoefficients._checked(c, _check_coeffs(c))):
+        assert make(np.ones(2 * MAX_BANDWIDTH + 1)).b == MAX_BANDWIDTH
+        with pytest.raises(ValueError, match=f"bandwidth index must be <= {MAX_BANDWIDTH}, got"):
+            make(np.ones(2 * MAX_BANDWIDTH + 3) / (2 * MAX_BANDWIDTH + 3))
     for check in (build_dft_matrix, lambda b: random_field(b, rng)):
         with pytest.raises(ValueError, match=f"bandwidth index must be <= {MAX_BANDWIDTH}, got"):
             check(MAX_BANDWIDTH + 1)

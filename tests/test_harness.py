@@ -31,13 +31,13 @@ from orderfield.estimator import estimate_at
 from orderfield.ambiguity import MAX_GRID
 from orderfield.fields import MAX_BANDWIDTH, MAX_COEFF, FourierCoefficients, eval_field
 from orderfield.harness import (
-    SWEEP_CSV_HEADER, _bandwidth_distortions, _trial_seeds, _TrialSeed,
+    RANKED_MIN_N, SWEEP_CSV_HEADER, _bandwidth_distortions, _trial_seeds, _TrialSeed,
 )
 from orderfield.asymptotics import MAX_EVAL_POINTS, PointwiseCheck, QuantileMoments
 from orderfield.harness import SweepRow
 from orderfield.io import dumps_json, matrix_to_json, write_json
 from orderfield.sampling import (
-    MAX_SAMPLES, RANKED_MIN_N, SampleSet, quantile_indices, sample_quantile_locations,
+    MAX_SAMPLES, SampleSet, quantile_indices, sample_quantile_locations,
 )
 
 
@@ -575,6 +575,8 @@ JSON_DOCS = {
         "flag": np.True_.item(), "ints": [2**64, np.int64(-3).item()],
     },
     "field": lambda: random_field(3, np.random.default_rng(4)).to_json_dict(),
+    "field at MAX_BANDWIDTH": lambda: random_field(
+        MAX_BANDWIDTH, np.random.default_rng(6)).to_json_dict(),
     "estimate": _estimate_doc,
     "sweep report": lambda: run_mse_sweep(small_config(b_list=[0, 1])).to_json_dict(),
     "clt report with eval points": _clt_doc,

@@ -24,7 +24,7 @@ from orderfield import (
 )
 from orderfield import sampling
 from orderfield.fields import eval_field
-from orderfield.sampling import _SAVE_CHUNK
+from orderfield.io import _FLOAT_CHUNK
 
 
 def test_deploy_draws_uniform_locations(rng):
@@ -366,7 +366,7 @@ def test_extract_quantile_samples_is_one_based():
 
 def test_sample_file_roundtrip(tmp_path, rng, complex_random_field):
     # the larger sample spans more than one formatted chunk of `save_samples`
-    for n, draw in ((40, random_field), (3 * _SAVE_CHUNK // 2 + 7, complex_random_field)):
+    for n, draw in ((40, random_field), (3 * _FLOAT_CHUNK // 2 + 7, complex_random_field)):
         s = observe(draw(2, rng), deploy(n, rng))
         csv_path = tmp_path / "samples.csv"
         sidecar = tmp_path / "samples.json"
@@ -389,7 +389,7 @@ def _save_samples_with_csv_module(s, csv_path):
 
 
 def test_save_samples_bytes_equal_the_csv_module_writer(tmp_path, rng, complex_random_field):
-    half = _SAVE_CHUNK // 2  # values per chunk of floats
+    half = _FLOAT_CHUNK // 2  # values per chunk of floats
     sizes = (0, 1, half - 1, half, half + 1, 3 * half + 7)
     extremes = SampleSet(values=np.array(
         [-0.0, 5e-324 - 5e-324j, 1.7976931348623157e308 + 0.1j, -1.7976931348623157e308, 1e16j]

@@ -133,12 +133,12 @@ COMMANDS = [
     # deployments of 2**14 - 1, 2**14 and 10**5 points, read by rank (sweep) and in full (estimate)
     ("mse-sweep", "--config", "cfg_select.json", "--out", "sweep_select"),
     ("estimate", "--field", FIELD, "--n", "16384", "--seed", "12"),
-    # one trial per cell (stderr 0), and n on both sides of RANKED_MIN_N = 2**11 in each bandwidth
+    # one trial per cell (stderr 0), n on both sides of harness.RANKED_MIN_N = 2**11 per bandwidth
     ("mse-sweep", "--config", "cfg_mixed.json", "--out", "sweep_mixed"),
     # every value of deployments far longer than one evaluation block, in full
     ("sample", "--field", FIELD, "--n", "100003", "--seed", "14", "--out", "smp_blocks"),
     ("estimate", "--field", "field_complex.json", "--n", "100003", "--seed", "15"),
-    # one saved field shared by every trial of ranked cells (n >= RANKED_MIN_N = 2**11)
+    # one saved field shared by every trial of ranked cells (n >= harness.RANKED_MIN_N = 2**11)
     ("mse-sweep", "--config", "cfg_fixed_ranked.json", "--out", "sweep_fixed_ranked"),
 ]
 
